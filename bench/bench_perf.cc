@@ -299,8 +299,9 @@ BENCHMARK(BM_RefuseAfterAppend1_Cold)->Unit(benchmark::kMillisecond);
 // ---- the fused-KB query path (Session::Snapshot / kf::FusedKB) ----
 
 // Building the session-independent snapshot: copy verdicts + provenance
-// table off the engine state and index them (one linear sweep over the
-// claim graph, no re-grouping).
+// table off the engine state, name each distinct id once, build the
+// supporter CSR per claim-graph shard, and index the result. Single
+// worker, synthesized names.
 void BM_SessionSnapshot(benchmark::State& state) {
   const auto& corpus = CorpusAtScale(1.0);
   kf::Session session = kf::Session::Borrow(corpus.dataset);

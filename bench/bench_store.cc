@@ -133,6 +133,42 @@ void BM_CorpusWriteBin(benchmark::State& state) {
 }
 BENCHMARK(BM_CorpusWriteBin)->Unit(benchmark::kMillisecond);
 
+// ---- fused-KB export: the publish half of the downstream artifact ----
+
+void BM_FusedKbExportTsv(benchmark::State& state) {
+  const kf::FusedKB& kb = FusedAtScale1();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string out = kb.ToTsv();
+    bytes = out.size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kb.num_triples()));
+  state.counters["tsv_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_FusedKbExportTsv)->Unit(benchmark::kMillisecond);
+
+// The image written straight from the KB's columns (no rows, no
+// re-interning).
+void BM_FusedKbExportBin(benchmark::State& state) {
+  const kf::FusedKB& kb = FusedAtScale1();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string out = kb.ToBinary();
+    bytes = out.size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kb.num_triples()));
+  state.counters["bin_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_FusedKbExportBin)->Unit(benchmark::kMillisecond);
+
 // ---- fused-KB import: same comparison on the downstream artifact ----
 
 void BM_FusedKbImportTsv(benchmark::State& state) {

@@ -16,8 +16,10 @@
 // string tables and indexes, so it stays valid and bit-identical after
 // the Session appends, re-fuses, switches methods, or is destroyed — the
 // serializable unit the scale-out roadmap ships between processes.
-// Lookups are O(group): hash to the data item or triple, touch only that
-// group's claims — never an O(corpus) scan.
+// Its data lives in the columns of its kf::store image
+// (store::FusedKbColumns), so ToBinary encodes them as they are.
+// Lookups are O(group): hash to the data item, touch only that item's
+// triples and claims — never an O(corpus) scan.
 #ifndef KF_KF_FUSED_KB_H_
 #define KF_KF_FUSED_KB_H_
 
@@ -29,12 +31,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/interner.h"
 #include "common/label.h"
 #include "common/status.h"
 #include "extract/dataset.h"
 #include "extract/tsv_io.h"
 #include "fusion/engine.h"
+#include "store/store.h"
 
 namespace kf {
 
@@ -43,6 +45,8 @@ namespace kf {
 /// names, so id-only datasets (e.g. synthetic corpora) snapshot fine.
 /// Extractor names come from the dataset's ExtractorMeta table.
 /// Callbacks are only invoked during the Snapshot() call and may borrow.
+/// Each runs at most once per distinct id, serially on the thread that
+/// called Snapshot(), so callbacks need not be thread-safe.
 struct SnapshotNaming {
   std::function<std::string(kb::EntityId)> subject;
   std::function<std::string(kb::PredicateId)> predicate;
@@ -138,16 +142,16 @@ class FusedKB {
 
   // ---- raw access (index order == snapshot TripleId order) ----
 
-  size_t num_triples() const { return triples_.size(); }
-  size_t num_items() const { return items_.size(); }
-  size_t num_provenances() const { return provenances_.size(); }
+  size_t num_triples() const { return cols_.num_triples(); }
+  size_t num_items() const { return cols_.num_items(); }
+  size_t num_provenances() const { return cols_.provenances.size(); }
   /// Registry name of the method that produced the KB.
-  const std::string& method() const { return method_; }
-  size_t num_rounds() const { return num_rounds_; }
+  const std::string& method() const { return cols_.method; }
+  size_t num_rounds() const { return static_cast<size_t>(cols_.num_rounds); }
 
   KbVerdict verdict(uint32_t index) const;
   const extract::FusedKbProvRow& provenance(uint32_t p) const {
-    return provenances_[p];
+    return cols_.provenances[p];
   }
   /// Supporting provenance indices of one triple (ascending).
   std::vector<uint32_t> supporters(uint32_t index) const;
@@ -157,9 +161,10 @@ class FusedKB {
   // Two wire formats share one schema: the row-tagged TSV (ToTsv) and
   // the kf::store binary columnar container (ToBinary) — ~3-4x smaller
   // and >5x faster to load. Both round-trip bit-exactly through the same
-  // validated construction (FromRows).
+  // validated construction (FromRows). ToBinary writes the KB's own
+  // columns; it is byte-identical to store::WriteFusedKb(ToRows()).
 
-  /// The KB in schema form — what both serializers write.
+  /// The KB in schema form — what the TSV serializer writes.
   extract::FusedKbTsv ToRows() const;
   /// Validated construction from schema rows: unit-interval checks,
   /// winner-flag consistency, index build. Both importers land here.
@@ -187,7 +192,10 @@ class FusedKB {
   /// the engine's last run over `dataset` (kf::Session::Snapshot passes
   /// exactly that). With `gold` (sized like the result), raw scores are
   /// additionally mapped through the gold sample's calibration bins into
-  /// KbVerdict::calibrated. Fails on an empty result or mis-sized gold.
+  /// KbVerdict::calibrated. Fails on an empty result, mis-sized gold, or
+  /// a naming that maps two data items (or two values of one item) onto
+  /// the same strings. The supporter CSR is built per claim-graph shard
+  /// on the engine's num_workers; the result does not depend on them.
   static Result<FusedKB> Snapshot(const extract::ExtractionDataset& dataset,
                                   const fusion::FusionEngine& engine,
                                   const fusion::FusionResult& result,
@@ -196,49 +204,32 @@ class FusedKB {
                                   const std::vector<Label>* gold = nullptr);
 
  private:
-  struct Triple {
-    uint32_t item = 0;    // index into items_
-    uint32_t object = 0;  // id in objects_
-    double probability = 0.0;
-    double calibrated = 0.0;
-    bool has_probability = false;
-    bool from_fallback = false;
-  };
-  struct Item {
-    uint32_t subject = 0;    // id in subjects_
-    uint32_t predicate = 0;  // id in predicates_
-    uint32_t winner = kNone;  // triple index, kNone when nothing predicted
-  };
-
   KbVerdict MakeVerdict(uint32_t t) const;
-  /// Derives items' triple lists, winners, the probability order, and
-  /// the hash indexes from triples_/items_. Fails on duplicate triples.
+  /// Derives the item CSR, the winners (and their flag bits), the
+  /// probability order, and the item index from the columns. Fails on
+  /// duplicate data items or duplicate triples.
   Status BuildIndexes();
 
-  std::string method_;
-  size_t num_rounds_ = 0;
+  /// The image columns: names, verdicts, provenance table, supporters.
+  store::FusedKbColumns cols_;
 
-  StringInterner subjects_;
-  StringInterner predicates_;
-  StringInterner objects_;
-  std::vector<Item> items_;
-  std::vector<Triple> triples_;
-  std::vector<extract::FusedKbProvRow> provenances_;
-
-  /// Triple -> supporting provenance indices (CSR, spans ascending).
-  std::vector<uint32_t> support_offsets_{0};
-  std::vector<uint32_t> support_provs_;
-
+  /// Per item: its winning triple (kNone when nothing was predicted) and
+  /// that triple's verdict, kept together so Lookup reads one record.
+  struct Winner {
+    uint32_t triple = kNone;
+    uint32_t object = 0;
+    double probability = 0.0;
+    double calibrated = 0.0;
+    bool from_fallback = false;
+  };
+  std::vector<Winner> item_winner_;
   /// Item -> its triples in index order (CSR).
   std::vector<uint32_t> item_offsets_{0};
   std::vector<uint32_t> item_triples_;
-
   /// Predicted triples by (probability desc, index asc).
   std::vector<uint32_t> by_probability_;
   /// (subject id, predicate id) -> item index.
   std::unordered_map<uint64_t, uint32_t> item_index_;
-  /// (item index, object id) -> triple index.
-  std::unordered_map<uint64_t, uint32_t> triple_index_;
 };
 
 }  // namespace kf

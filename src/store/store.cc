@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <unordered_map>
 
 #include "common/interner.h"
 #include "common/logging.h"
@@ -702,7 +703,7 @@ Result<CorpusMmapView> CorpusMmapView::Open(const std::string& path) {
 
 // ---- fused KB --------------------------------------------------------
 
-std::string WriteFusedKb(const extract::FusedKbTsv& kb) {
+std::string EncodeFusedKb(const FusedKbColumns& kb) {
   BlockBuilder builder;
   builder.AddStrings(BlockId::kKbMethod, 1,
                      [&kb](size_t) -> std::string_view { return kb.method; });
@@ -728,52 +729,81 @@ std::string WriteFusedKb(const extract::FusedKbTsv& kb) {
     builder.AddPacked(BlockId::kProvClaims, claims);
   }
 
+  auto add_dict = [&builder](BlockId id, const StringInterner& interner) {
+    builder.AddStrings(id, interner.size(),
+                       [&interner](size_t i) -> std::string_view {
+                         return interner.Get(static_cast<uint32_t>(i));
+                       });
+  };
+  add_dict(BlockId::kKbDictSubjects, kb.subjects);
+  add_dict(BlockId::kKbDictPredicates, kb.predicates);
+  add_dict(BlockId::kKbDictObjects, kb.objects);
   {
-    const size_t n = kb.triples.size();
-    StringInterner subjects, predicates, objects;
-    std::vector<uint32_t> subject(n), predicate(n), object(n);
-    std::vector<double> probability(n), calibrated(n);
-    std::vector<uint8_t> flags(n);
-    std::vector<uint32_t> offsets{0};
-    std::vector<uint32_t> supporters;
-    offsets.reserve(n + 1);
+    // The image keys triples by subject and predicate, not by item.
+    const size_t n = kb.num_triples();
+    std::vector<uint32_t> subject(n), predicate(n);
     for (size_t t = 0; t < n; ++t) {
-      const extract::FusedKbTripleRow& row = kb.triples[t];
-      subject[t] = subjects.Intern(row.subject);
-      predicate[t] = predicates.Intern(row.predicate);
-      object[t] = objects.Intern(row.object);
-      probability[t] = row.probability;
-      calibrated[t] = row.calibrated;
-      flags[t] = static_cast<uint8_t>((row.has_probability ? 1 : 0) |
-                                      (row.from_fallback ? 2 : 0) |
-                                      (row.winner ? 4 : 0));
-      supporters.insert(supporters.end(), row.supporters.begin(),
-                        row.supporters.end());
-      // The CSR offsets are u32 on disk; abort on overflow rather than
-      // serialize a silently wrapped supporter list.
-      KF_CHECK(supporters.size() <= 0xffffffffull);
-      offsets.push_back(static_cast<uint32_t>(supporters.size()));
+      subject[t] = kb.item_subject[kb.triple_item[t]];
+      predicate[t] = kb.item_predicate[kb.triple_item[t]];
     }
-    auto add_dict = [&builder](BlockId id, const StringInterner& interner) {
-      builder.AddStrings(id, interner.size(),
-                         [&interner](size_t i) -> std::string_view {
-                           return interner.Get(static_cast<uint32_t>(i));
-                         });
-    };
-    add_dict(BlockId::kKbDictSubjects, subjects);
-    add_dict(BlockId::kKbDictPredicates, predicates);
-    add_dict(BlockId::kKbDictObjects, objects);
     builder.AddPacked(BlockId::kKbTripleSubject, subject);
     builder.AddPacked(BlockId::kKbTriplePredicate, predicate);
-    builder.AddPacked(BlockId::kKbTripleObject, object);
-    builder.AddColumn(BlockId::kKbProbability, probability);
-    builder.AddColumn(BlockId::kKbCalibrated, calibrated);
-    builder.AddColumn(BlockId::kKbTripleFlags, flags);
-    builder.AddDeltaVarint(BlockId::kKbSupportOffsets, offsets);
-    builder.AddVarintLists(BlockId::kKbSupporters, offsets, supporters);
   }
-
+  builder.AddPacked(BlockId::kKbTripleObject, kb.triple_object);
+  builder.AddColumn(BlockId::kKbProbability, kb.probability);
+  builder.AddColumn(BlockId::kKbCalibrated, kb.calibrated);
+  builder.AddColumn(BlockId::kKbTripleFlags, kb.triple_flags);
+  builder.AddDeltaVarint(BlockId::kKbSupportOffsets, kb.support_offsets);
+  builder.AddVarintLists(BlockId::kKbSupporters, kb.support_offsets,
+                         kb.supporters);
   return builder.Finish(ContentKind::kFusedKb);
+}
+
+FusedKbColumns FusedKbColumnsFromRows(const extract::FusedKbTsv& kb) {
+  FusedKbColumns cols;
+  cols.method = kb.method;
+  cols.num_rounds = kb.num_rounds;
+  cols.provenances = kb.provenances;
+  const size_t n = kb.triples.size();
+  cols.triple_item.resize(n);
+  cols.triple_object.resize(n);
+  cols.probability.resize(n);
+  cols.calibrated.resize(n);
+  cols.triple_flags.resize(n);
+  cols.support_offsets.reserve(n + 1);
+  std::unordered_map<uint64_t, uint32_t> item_of;
+  for (size_t t = 0; t < n; ++t) {
+    const extract::FusedKbTripleRow& row = kb.triples[t];
+    const uint32_t s = cols.subjects.Intern(row.subject);
+    const uint32_t p = cols.predicates.Intern(row.predicate);
+    auto [it, fresh] =
+        item_of.try_emplace((static_cast<uint64_t>(s) << 32) | p,
+                            static_cast<uint32_t>(cols.item_subject.size()));
+    if (fresh) {
+      cols.item_subject.push_back(s);
+      cols.item_predicate.push_back(p);
+    }
+    cols.triple_item[t] = it->second;
+    cols.triple_object[t] = cols.objects.Intern(row.object);
+    cols.probability[t] = row.probability;
+    cols.calibrated[t] = row.calibrated;
+    cols.triple_flags[t] =
+        static_cast<uint8_t>((row.has_probability ? kKbHasProbability : 0) |
+                             (row.from_fallback ? kKbFromFallback : 0) |
+                             (row.winner ? kKbWinner : 0));
+    cols.supporters.insert(cols.supporters.end(), row.supporters.begin(),
+                           row.supporters.end());
+    // The CSR offsets are u32 on disk; abort on overflow rather than
+    // serialize a silently wrapped supporter list.
+    KF_CHECK(cols.supporters.size() <= 0xffffffffull);
+    cols.support_offsets.push_back(
+        static_cast<uint32_t>(cols.supporters.size()));
+  }
+  return cols;
+}
+
+std::string WriteFusedKb(const extract::FusedKbTsv& kb) {
+  return EncodeFusedKb(FusedKbColumnsFromRows(kb));
 }
 
 Status WriteFusedKbFile(const extract::FusedKbTsv& kb,

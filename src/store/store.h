@@ -18,10 +18,12 @@
 #ifndef KF_STORE_STORE_H_
 #define KF_STORE_STORE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/interner.h"
 #include "common/status.h"
 #include "extract/tsv_io.h"
 #include "store/format.h"
@@ -168,7 +170,52 @@ class CorpusMmapView {
 
 // ---- fused KB --------------------------------------------------------
 
-/// Serializes a fused KB (schema form) into the binary fused-KB format.
+/// Bits of the fused-KB triple flag column (kKbTripleFlags).
+inline constexpr uint8_t kKbHasProbability = 1;
+inline constexpr uint8_t kKbFromFallback = 2;
+inline constexpr uint8_t kKbWinner = 4;
+
+/// A fused KB in column form: the one input of the fused-KB encoder.
+/// kf::FusedKB keeps exactly these columns, so its image is written
+/// without building rows or re-interning a string; WriteFusedKb interns
+/// schema rows into them first. Strings are interned in first-use order
+/// over the triples (subject and predicate through the triple's item),
+/// which is why a KB and its rows encode to the same bytes.
+struct FusedKbColumns {
+  std::string method;
+  uint64_t num_rounds = 0;
+  std::vector<extract::FusedKbProvRow> provenances;
+
+  StringInterner subjects;
+  StringInterner predicates;
+  StringInterner objects;
+  /// Per data item: ids in `subjects` and `predicates`.
+  std::vector<uint32_t> item_subject;
+  std::vector<uint32_t> item_predicate;
+  /// Per triple: its data item, its id in `objects`, the raw and
+  /// calibrated probability, and the kKb* flag bits.
+  std::vector<uint32_t> triple_item;
+  std::vector<uint32_t> triple_object;
+  std::vector<double> probability;
+  std::vector<double> calibrated;
+  std::vector<uint8_t> triple_flags;
+  /// Triple -> supporting provenance indices (CSR).
+  std::vector<uint32_t> support_offsets{0};
+  std::vector<uint32_t> supporters;
+
+  size_t num_triples() const { return triple_item.size(); }
+  size_t num_items() const { return item_subject.size(); }
+};
+
+/// Serializes fused-KB columns into the binary fused-KB format.
+std::string EncodeFusedKb(const FusedKbColumns& kb);
+
+/// Interns schema rows into columns: one item per distinct (subject,
+/// predicate), strings in first-use order. Copies values as given (no
+/// validation; kf::FusedKB::FromRows checks them).
+FusedKbColumns FusedKbColumnsFromRows(const extract::FusedKbTsv& kb);
+
+/// Serializes a fused KB (schema form): EncodeFusedKb of its columns.
 std::string WriteFusedKb(const extract::FusedKbTsv& kb);
 
 Status WriteFusedKbFile(const extract::FusedKbTsv& kb,

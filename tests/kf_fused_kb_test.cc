@@ -1,21 +1,30 @@
 // The kf::FusedKB contract: Snapshot() verdicts are bit-identical to the
 // raw fusion::FusionResult they were taken from (for every engine method
 // via the registry), queries resolve through the KB's own indexes,
-// snapshots are deep session-independent copies, and ExportTsv/ImportTsv
-// round-trips to an equal KB.
+// snapshots are deep session-independent copies, ExportTsv/ImportTsv
+// round-trips to an equal KB, and the binary image written from the KB's
+// columns is byte-identical to the row encoding at any worker count.
 #include "kf/fused_kb.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <map>
 #include <optional>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "eval/calibration.h"
 #include "eval/gold_standard.h"
 #include "extract/tsv_io.h"
 #include "kf/session.h"
+#include "store/store.h"
 #include "synth/corpus.h"
 
 namespace kf {
@@ -83,31 +92,46 @@ TEST(FusedKbTest, VerdictsBitIdenticalToRawResultForEveryEngineMethod) {
 }
 
 TEST(FusedKbTest, SnapshotCountsMatchTheEngineState) {
-  Session session = Session::Borrow(SmallCorpus().dataset);
-  ASSERT_TRUE(session.Fuse(fusion::FusionOptions::PopAccu()).ok());
-  Result<FusedKB> kb = session.Snapshot();
-  ASSERT_TRUE(kb.ok());
-  EXPECT_EQ(kb->num_provenances(), session.last_result()->num_provenances);
-  EXPECT_GT(kb->num_items(), 0u);
-  EXPECT_LE(kb->num_items(), kb->num_triples());
-  // Every provenance row carries its claim count and an accuracy in the
-  // engine's clamp range.
-  size_t claims = 0;
-  for (uint32_t p = 0; p < kb->num_provenances(); ++p) {
-    const extract::FusedKbProvRow& row = kb->provenance(p);
-    EXPECT_GT(row.num_claims, 0u);
-    EXPECT_GE(row.accuracy, 0.0);
-    EXPECT_LE(row.accuracy, 1.0);
-    EXPECT_FALSE(row.description.empty());
-    claims += row.num_claims;
+  // Coarse provenances (one per extractor and site) claim a triple in an
+  // order unrelated to their ids, so the supporter spans need sorting.
+  for (const extract::Granularity& granularity :
+       {extract::Granularity::ExtractorUrl(),
+        extract::Granularity::ExtractorSite()}) {
+    SCOPED_TRACE(granularity.ToString());
+    Session session = Session::Borrow(SmallCorpus().dataset);
+    fusion::FusionOptions options = fusion::FusionOptions::PopAccu();
+    options.granularity = granularity;
+    ASSERT_TRUE(session.Fuse(options).ok());
+    Result<FusedKB> kb = session.Snapshot();
+    ASSERT_TRUE(kb.ok());
+    EXPECT_EQ(kb->num_provenances(), session.last_result()->num_provenances);
+    EXPECT_GT(kb->num_items(), 0u);
+    EXPECT_LE(kb->num_items(), kb->num_triples());
+    // Every provenance row carries its claim count and an accuracy in the
+    // engine's clamp range.
+    size_t claims = 0;
+    for (uint32_t p = 0; p < kb->num_provenances(); ++p) {
+      const extract::FusedKbProvRow& row = kb->provenance(p);
+      EXPECT_GT(row.num_claims, 0u);
+      EXPECT_GE(row.accuracy, 0.0);
+      EXPECT_LE(row.accuracy, 1.0);
+      EXPECT_FALSE(row.description.empty());
+      claims += row.num_claims;
+    }
+    // Claim mass is conserved: the supporters CSR holds the same claims
+    // the provenance table counts, in strictly ascending spans (one claim
+    // per (provenance, triple)).
+    size_t supporters = 0;
+    for (uint32_t t = 0; t < kb->num_triples(); ++t) {
+      const std::vector<uint32_t> provs = kb->supporters(t);
+      supporters += provs.size();
+      ASSERT_TRUE(std::adjacent_find(provs.begin(), provs.end(),
+                                     std::greater_equal<uint32_t>()) ==
+                  provs.end())
+          << t;
+    }
+    EXPECT_EQ(claims, supporters);
   }
-  // Claim mass is conserved: the supporters CSR holds the same claims the
-  // provenance table counts.
-  size_t supporters = 0;
-  for (uint32_t t = 0; t < kb->num_triples(); ++t) {
-    supporters += kb->supporters(t).size();
-  }
-  EXPECT_EQ(claims, supporters);
 }
 
 // ---- queries ----
@@ -392,6 +416,198 @@ TEST(FusedKbTest, ImportRejectsMalformedTsv) {
   EXPECT_EQ(ok->num_triples(), 2u);
   ASSERT_TRUE(ok->Lookup("s", "p").has_value());
   EXPECT_EQ(ok->Lookup("s", "p")->object, "o1");
+}
+
+// ---- the binary image: written from the KB's own columns ----
+
+/// Worker counts swept against the 1-worker snapshot; KF_TEST_WORKERS (CI
+/// sets 8 for the sanitizer jobs) adds one more.
+std::vector<size_t> WorkerCounts() {
+  std::vector<size_t> counts = {2, 8};
+  if (const char* env = std::getenv("KF_TEST_WORKERS")) {
+    const long w = std::atol(env);
+    if (w > 1) counts.push_back(static_cast<size_t>(w));
+  }
+  return counts;
+}
+
+/// The row encoding (ToRows + store::WriteFusedKb) is the reference the
+/// column writer must reproduce byte for byte — for the KB itself and for
+/// its re-imports, which must also write the very same image.
+void ExpectGoldenImage(const FusedKB& kb, const std::string& what) {
+  const std::string image = kb.ToBinary();
+  EXPECT_EQ(image, store::WriteFusedKb(kb.ToRows())) << what;
+  Result<FusedKB> via_tsv = FusedKB::FromTsv(kb.ToTsv());
+  ASSERT_TRUE(via_tsv.ok()) << what << ": " << via_tsv.status().ToString();
+  EXPECT_EQ(via_tsv->ToBinary(), image) << what << " via TSV";
+  EXPECT_EQ(via_tsv->ToBinary(), store::WriteFusedKb(via_tsv->ToRows()))
+      << what << " via TSV";
+  Result<FusedKB> via_bin = FusedKB::FromBinary(image);
+  ASSERT_TRUE(via_bin.ok()) << what << ": " << via_bin.status().ToString();
+  EXPECT_EQ(via_bin->ToBinary(), image) << what << " via binary";
+  EXPECT_TRUE(*via_bin == kb) << what;
+}
+
+TEST(FusedKbTest, BinaryImageEqualsTheRowEncoding) {
+  for (const char* method : {"vote", "accu", "popaccu"}) {
+    for (const std::vector<Label>* gold :
+         {static_cast<const std::vector<Label>*>(nullptr), &SmallLabels()}) {
+      Session session = Session::Borrow(SmallCorpus().dataset);
+      fusion::FusionOptions options;
+      options.method_name = method;
+      options.num_shards = 16;
+      ASSERT_TRUE(session.Fuse(options).ok()) << method;
+      Result<FusedKB> kb = session.Snapshot({}, gold);
+      ASSERT_TRUE(kb.ok()) << method << ": " << kb.status().ToString();
+      ExpectGoldenImage(*kb, std::string(method) + (gold ? " +gold" : ""));
+    }
+    Result<extract::TsvCorpus> corpus = extract::ReadExtractionsTsv(kTsv);
+    ASSERT_TRUE(corpus.ok());
+    ExpectGoldenImage(SnapshotTsv(&*corpus, method),
+                      std::string(method) + " tsv fixture");
+  }
+}
+
+TEST(FusedKbTest, SnapshotImageIsIndependentOfWorkersAndBudget) {
+  fusion::FusionOptions options = fusion::FusionOptions::PopAccu();
+  options.num_shards = 16;
+  options.num_workers = 1;
+  auto image = [&options] {
+    Session session = Session::Borrow(SmallCorpus().dataset);
+    EXPECT_TRUE(session.Fuse(options).ok());
+    Result<FusedKB> kb = session.Snapshot({}, &SmallLabels());
+    EXPECT_TRUE(kb.ok()) << kb.status().ToString();
+    return kb.ok() ? kb->ToBinary() : std::string();
+  };
+  const std::string reference = image();
+  ASSERT_FALSE(reference.empty());
+  for (size_t workers : WorkerCounts()) {
+    options.num_workers = workers;
+    EXPECT_EQ(image(), reference) << workers << " workers";
+  }
+  // Out of core: every shard its own subset, read back off spill files.
+  options.memory_budget_bytes = 1;
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    options.num_workers = workers;
+    EXPECT_EQ(image(), reference) << "spilled, " << workers << " workers";
+  }
+}
+
+TEST(FusedKbTest, ImportRejectsDuplicateTriples) {
+  const std::string tsv =
+      "M\taccu\t3\n"
+      "P\tsrc\t0.8\t1\t2\n"
+      "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t0\n"
+      "T\ts\tp\to2\t0.1\t0.1\t1\t0\t0\t\n"
+      "T\ts\tp\to\t0.9\t0.9\t1\t0\t0\t0\n";
+  Result<FusedKB> from_tsv = FusedKB::FromTsv(tsv);
+  ASSERT_FALSE(from_tsv.ok());
+  EXPECT_EQ(from_tsv.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_tsv.status().message().find("duplicate triple (s, p, o)"),
+            std::string::npos)
+      << from_tsv.status().message();
+
+  // The same rows as a binary image (the writer does not validate).
+  Result<extract::FusedKbTsv> rows = extract::ReadFusedKbTsv(tsv);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  Result<FusedKB> from_bin = FusedKB::FromBinary(store::WriteFusedKb(*rows));
+  ASSERT_FALSE(from_bin.ok());
+  EXPECT_EQ(from_bin.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_bin.status().message().find("duplicate triple (s, p, o)"),
+            std::string::npos)
+      << from_bin.status().message();
+}
+
+// ---- naming ----
+
+/// Two subjects that differ only in tab vs space, like a binary corpus
+/// can hold; "_" stands in for the tab in the TSV text.
+constexpr const char* kCollidingTsv =
+    "Tom_Cruise\tbirth_date\t1962-07-03\tdom\thttps://a.example/1\t0.9\n"
+    "Tom Cruise\tbirth_date\t1962-07-03\ttxt\thttps://b.example/2\t0.8\n"
+    "TopGun\trelease_year\t1986 \ttbl\thttps://c.example/3\t0.9\n"
+    "TopGun\trelease_year\t1986_\ttbl\thttps://d.example/4\t0.3\n";
+
+std::string Underscore2Tab(std::string s) {
+  std::replace(s.begin(), s.end(), '_', '\t');
+  return s;
+}
+
+TEST(FusedKbTest, SnapshotRejectsNamingThatMergesItemsOrTriples) {
+  Result<extract::TsvCorpus> corpus =
+      extract::ReadExtractionsTsv(kCollidingTsv);
+  ASSERT_TRUE(corpus.ok());
+  Session session = Session::Borrow(corpus->dataset);
+  ASSERT_TRUE(session.Fuse(fusion::FusionOptions::Accu()).ok());
+  const SnapshotNaming plain = SnapshotNaming::FromCorpus(*corpus);
+  ASSERT_TRUE(session.Snapshot(plain).ok());
+
+  // "Tom\tCruise" sanitizes onto "Tom Cruise": two data items, one name.
+  SnapshotNaming subjects = plain;
+  subjects.subject = [&plain](kb::EntityId id) {
+    return Underscore2Tab(plain.subject(id));
+  };
+  Result<FusedKB> kb = session.Snapshot(subjects);
+  ASSERT_FALSE(kb.ok());
+  EXPECT_EQ(kb.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(kb.status().message().find("duplicate data item (Tom Cruise, "
+                                       "birth_date)"),
+            std::string::npos)
+      << kb.status().message();
+
+  // Likewise "1986\t" and "1986 ": two values of one item, one name.
+  SnapshotNaming objects = plain;
+  objects.object = [&plain](kb::ValueId id) {
+    return Underscore2Tab(plain.object(id));
+  };
+  kb = session.Snapshot(objects);
+  ASSERT_FALSE(kb.ok());
+  EXPECT_EQ(kb.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(kb.status().message().find("duplicate triple (TopGun, "
+                                       "release_year, 1986 )"),
+            std::string::npos)
+      << kb.status().message();
+}
+
+TEST(FusedKbTest, NamingCallbacksRunOncePerDistinctId) {
+  Session session = Session::Borrow(SmallCorpus().dataset);
+  fusion::FusionOptions options = fusion::FusionOptions::PopAccu();
+  options.granularity = extract::Granularity::ExtractorSitePredicatePattern();
+  options.num_workers = 4;
+  ASSERT_TRUE(session.Fuse(options).ok());
+
+  std::map<std::string, std::map<uint32_t, int>> calls;
+  const std::thread::id caller = std::this_thread::get_id();
+  bool other_thread = false;
+  auto counted = [&](const char* kind, char prefix) {
+    return [&, kind, prefix](uint32_t id) {
+      ++calls[kind][id];
+      other_thread |= std::this_thread::get_id() != caller;
+      return std::string(1, prefix) + std::to_string(id);
+    };
+  };
+  SnapshotNaming naming;
+  naming.subject = counted("subject", 's');
+  naming.predicate = counted("predicate", 'p');
+  naming.object = counted("object", 'v');
+  naming.url = counted("url", 'u');
+  naming.site = counted("site", 'w');
+  naming.pattern = counted("pattern", 'r');
+  Result<FusedKB> kb = session.Snapshot(naming);
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  EXPECT_FALSE(other_thread);
+  for (const char* kind :
+       {"subject", "predicate", "object", "site", "pattern"}) {
+    ASSERT_FALSE(calls[kind].empty()) << kind;
+    for (const auto& [id, n] : calls[kind]) {
+      ASSERT_EQ(n, 1) << kind << " " << id;
+    }
+  }
+  // The names match the synthesized defaults, so the KB equals the
+  // callback-free snapshot.
+  Result<FusedKB> synthesized = session.Snapshot();
+  ASSERT_TRUE(synthesized.ok());
+  EXPECT_TRUE(*kb == *synthesized);
 }
 
 // ---- error paths ----

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "synth/corpus.h"
 
 namespace kf {
@@ -273,6 +275,74 @@ TEST(KbServerTest, PublishOnEmptyDatasetFailsAndPublishesNothing) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(server.published_seqno(), 0u);
   EXPECT_EQ(server.Acquire(), nullptr);
+}
+
+/// Publishes generation 1, then runs `failing` (which must make exactly
+/// one Publish fail) and checks that nothing was published, readers keep
+/// generation 1 and its answers, and the next Publish lands generation 2.
+template <typename FailingPublish>
+void ExpectFailedPublishKeepsLastGeneration(KbServer* server,
+                                            FailingPublish failing) {
+  ASSERT_TRUE(server->Publish().ok());
+  KbSnapshotRef pinned = server->Acquire();
+  ASSERT_NE(pinned, nullptr);
+  const std::vector<ServedVerdict> top_before = server->TopK(5);
+  ASSERT_FALSE(top_before.empty());
+
+  failing();
+  EXPECT_EQ(server->published_seqno(), 1u);
+  EXPECT_EQ(server->Acquire().get(), pinned.get());
+  EXPECT_EQ(server->stats().publishes, 1u);
+  EXPECT_EQ(server->stats().publish_failures, 1u);
+  const std::vector<ServedVerdict> top_after = server->TopK(5);
+  ASSERT_EQ(top_after.size(), top_before.size());
+  for (size_t i = 0; i < top_after.size(); ++i) {
+    EXPECT_EQ(top_after[i].subject, top_before[i].subject);
+    EXPECT_EQ(top_after[i].probability, top_before[i].probability);
+    EXPECT_EQ(top_after[i].seqno, 1u);
+  }
+
+  Result<KbSnapshotStats> next = server->Publish();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->seqno, 2u);
+  EXPECT_EQ(server->stats().publish_failures, 1u);
+}
+
+TEST(KbServerTest, FailedSnapshotBuildKeepsTheLastGeneration) {
+  Streaming s = MakeStreamingServer(0.5);
+  ExpectFailedPublishKeepsLastGeneration(s.server.get(), [&s] {
+    ASSERT_TRUE(s.server->Append(s.tail).ok());
+    fault::ScopedFaults scope;
+    ASSERT_TRUE(fault::ArmFromConfig("kf.snapshot=err@1").ok());
+    Result<KbSnapshotStats> failed = s.server->Publish();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(fault::Hits("kf.snapshot"), 1u);
+  });
+}
+
+TEST(KbServerTest, CollidingNamingFailsThePublishNotTheServer) {
+  Streaming s = MakeStreamingServer(0.5);
+  // Once switched on, the naming maps every subject onto one name, so
+  // data items collide: the snapshot must fail, not abort the process.
+  auto collide = std::make_shared<bool>(false);
+  KbServer::Options options = ServerOptions();
+  options.naming.subject = [collide](kb::EntityId id) {
+    return *collide ? std::string("everyone") : "s" + std::to_string(id);
+  };
+  const extract::ExtractionDataset& src = SmallCorpus().dataset;
+  KbServer server(extract::CloneRecordPrefix(src, src.num_records() / 2),
+                  options);
+  ExpectFailedPublishKeepsLastGeneration(&server, [&] {
+    *collide = true;
+    Result<KbSnapshotStats> failed = server.Publish();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(failed.status().message().find("duplicate data item"),
+              std::string::npos)
+        << failed.status().message();
+    *collide = false;
+  });
 }
 
 TEST(KbServerDeathTest, NonEngineMethodIsRejectedAtConstruction) {
