@@ -76,7 +76,6 @@ FusionEngine::FusionEngine(const extract::ExtractionDataset& dataset,
 
 size_t FusionEngine::Refresh() {
   size_t rebuilt = graph_.Update(dataset_);
-  if (rebuilt > 0) sweep_schedule_stale_ = true;
   // Streaming callers may sweep again without re-Preparing: provenances
   // introduced by the append enter at the default accuracy until Stage II
   // evaluates them (a fresh Prepare()/Run() re-initializes everything).
@@ -87,40 +86,10 @@ size_t FusionEngine::Refresh() {
   return rebuilt;
 }
 
-void FusionEngine::RebuildSweepSchedule() {
-  const size_t num_shards = graph_.num_shards();
-  sweep_order_.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    sweep_order_[s] = static_cast<uint32_t>(s);
-  }
-  // Largest-first: the most loaded shard starts immediately, so one
-  // mega-shard overlaps everything else instead of being picked up last
-  // and serializing the tail of the sweep (LPT-style balance). Stable so
-  // equal-sized shards keep id order and the schedule is deterministic.
-  std::stable_sort(sweep_order_.begin(), sweep_order_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return graph_.shard(a).num_claims() >
-                            graph_.shard(b).num_claims();
-                   });
-  // Cut tasks along the sorted order with a per-claim grain: accumulate
-  // shards until a task holds >= kMinSweepClaimsPerTask claims. Large
-  // shards become singleton tasks; the small-shard tail batches up so a
-  // 1M-shard graph does not mean 1M atomic handshakes per round.
-  sweep_task_offsets_.clear();
-  sweep_task_offsets_.push_back(0);
-  size_t task_claims = 0;
-  for (size_t k = 0; k < num_shards; ++k) {
-    task_claims += graph_.shard(sweep_order_[k]).num_claims();
-    if (task_claims >= kMinSweepClaimsPerTask) {
-      sweep_task_offsets_.push_back(static_cast<uint32_t>(k + 1));
-      task_claims = 0;
-    }
-  }
-  if (sweep_task_offsets_.back() != num_shards) {
-    sweep_task_offsets_.push_back(static_cast<uint32_t>(num_shards));
-  }
-  shard_sweep_micros_.assign(num_shards, 0);
-  sweep_schedule_stale_ = false;
+std::vector<uint32_t> FusionEngine::AllShards() const {
+  std::vector<uint32_t> all(graph_.num_shards());
+  for (size_t s = 0; s < all.size(); ++s) all[s] = static_cast<uint32_t>(s);
+  return all;
 }
 
 void FusionEngine::InitAccuracies(const std::vector<Label>* gold) {
@@ -365,6 +334,7 @@ void FusionEngine::BeginStageI(size_t round, FusionResult* result) {
             0);
   std::fill(result->from_fallback.begin(), result->from_fallback.end(), 0);
   stage1_prefer_evaluated_ = options_.filter_by_coverage && round > 1;
+  shard_sweep_micros_.resize(graph_.num_shards(), 0);
 
   // Freeze the per-round tables. Accuracies do not change during a Stage I
   // sweep, so the scorer's per-claim log-odds term and the theta filter
@@ -390,51 +360,43 @@ void FusionEngine::BeginStageI(size_t round, FusionResult* result) {
 
 void FusionEngine::SweepStageI(const std::vector<uint32_t>& shard_ids,
                                FusionResult* result) {
-  // Subset sweeps order their shards largest-first (stable, so equal
-  // sizes keep caller order) and schedule one shard per task: a spill
-  // subset is a handful of shards, so per-shard granularity beats the
-  // global schedule's claim-count batching. The decomposition never
-  // affects bits — Stage I writes disjoint per-triple slots.
+  // Largest-first: the most loaded shard starts immediately, so one
+  // mega-shard overlaps everything else instead of being picked up last
+  // and serializing the tail of the sweep (LPT-style balance). Stable so
+  // equal-sized shards keep caller order and the schedule is
+  // deterministic.
   std::vector<uint32_t> order = shard_ids;
   std::stable_sort(order.begin(), order.end(),
                    [this](uint32_t a, uint32_t b) {
                      return graph_.shard(a).num_claims() >
                             graph_.shard(b).num_claims();
                    });
+  // Cut tasks along the sorted order with a per-claim grain: accumulate
+  // shards until a task holds >= kMinSweepClaimsPerTask claims. Large
+  // shards become singleton tasks; the small-shard tail batches up so a
+  // 1M-shard graph does not mean 1M atomic handshakes per round.
+  std::vector<uint32_t> task_offsets = {0};
+  size_t task_claims = 0;
+  for (size_t k = 0; k < order.size(); ++k) {
+    task_claims += graph_.shard(order[k]).num_claims();
+    if (task_claims >= kMinSweepClaimsPerTask) {
+      task_offsets.push_back(static_cast<uint32_t>(k + 1));
+      task_claims = 0;
+    }
+  }
+  if (task_offsets.back() != order.size()) {
+    task_offsets.push_back(static_cast<uint32_t>(order.size()));
+  }
+  // Tasks (not shards) are the scheduling unit, grain 1 so a free worker
+  // always takes exactly the next task. The decomposition never affects
+  // bits — Stage I writes disjoint per-triple slots.
   const double theta = options_.min_provenance_accuracy;
   ParallelFor(
-      order.size(), options_.num_workers,
-      [&](size_t k) {
-        const uint32_t s = order[k];
-        const auto start = std::chrono::steady_clock::now();
-        SweepShard(graph_.columns(s), theta, stage1_prefer_evaluated_,
-                   stage1_in_place_, result);
-        if (s < shard_sweep_micros_.size()) {
-          shard_sweep_micros_[s] = static_cast<uint32_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count());
-        }
-      },
-      /*grain=*/1);
-}
-
-void FusionEngine::StageI(size_t round, FusionResult* result) {
-  BeginStageI(round, result);
-  if (sweep_schedule_stale_) RebuildSweepSchedule();
-  const double theta = options_.min_provenance_accuracy;
-
-  // Tasks (not shards) are the scheduling unit: largest shards first, the
-  // small-shard tail batched (RebuildSweepSchedule), grain 1 so a free
-  // worker always takes exactly the next task. The schedule is fixed per
-  // graph, so results stay worker-independent; only wall-clock moves.
-  const size_t num_tasks = sweep_task_offsets_.size() - 1;
-  ParallelFor(
-      num_tasks, options_.num_workers,
+      task_offsets.size() - 1, options_.num_workers,
       [&](size_t task) {
-        for (uint32_t k = sweep_task_offsets_[task];
-             k < sweep_task_offsets_[task + 1]; ++k) {
-          const uint32_t s = sweep_order_[k];
+        for (uint32_t k = task_offsets[task]; k < task_offsets[task + 1];
+             ++k) {
+          const uint32_t s = order[k];
           const auto start = std::chrono::steady_clock::now();
           SweepShard(graph_.columns(s), theta, stage1_prefer_evaluated_,
                      stage1_in_place_, result);
@@ -447,6 +409,11 @@ void FusionEngine::StageI(size_t round, FusionResult* result) {
       /*grain=*/1);
 }
 
+void FusionEngine::StageI(size_t round, FusionResult* result) {
+  BeginStageI(round, result);
+  SweepStageI(AllShards(), result);
+}
+
 double FusionEngine::StageII(const FusionResult& result) {
   return StageII(result, options_.accuracy_damping,
                  options_.convergence_quantile);
@@ -455,9 +422,7 @@ double FusionEngine::StageII(const FusionResult& result) {
 double FusionEngine::StageII(const FusionResult& result, double damping,
                              double quantile) {
   BeginStageII(result);
-  std::vector<uint32_t> all(graph_.num_shards());
-  for (size_t s = 0; s < all.size(); ++s) all[s] = static_cast<uint32_t>(s);
-  AccumulateStageII(all, result);
+  AccumulateStageII(AllShards(), result);
   return FinishStageII(damping, quantile);
 }
 
@@ -612,27 +577,66 @@ double FusionEngine::FinishStageII(double damping, double quantile) {
   return updated[k - 1];
 }
 
+RoundPolicy ResolveRoundPolicy(const FusionOptions& options, bool warm,
+                               size_t rounds_run) {
+  const WarmStartOptions& w = options.warm_start;
+  auto pick = [warm](auto override_value, auto cold_value) {
+    return warm && override_value > 0 ? override_value : cold_value;
+  };
+  RoundPolicy policy;
+  policy.first_round = warm ? rounds_run + 1 : 1;
+  policy.max_rounds = options.method == Method::kVote
+                          ? 1
+                          : pick(w.max_rounds, options.max_rounds);
+  policy.epsilon = pick(w.epsilon, options.convergence_epsilon);
+  policy.damping = pick(w.damping, options.accuracy_damping);
+  policy.quantile = pick(w.quantile, options.convergence_quantile);
+  policy.converge_from_round1 = warm;
+  return policy;
+}
+
+Status FusionEngine::RunRounds(
+    const RoundPolicy& policy,
+    const std::vector<std::vector<uint32_t>>& subsets, const EnsureFn& ensure,
+    FusionResult* result, const RoundCallback& callback) {
+  // VOTE scores with no accuracies: one Stage I, no Stage II.
+  const bool reevaluate = options_.method != Method::kVote;
+  result->num_rounds = 0;
+  for (size_t round = 1; round <= policy.max_rounds; ++round) {
+    const size_t global_round = policy.first_round + round - 1;
+    BeginStageI(global_round, result);
+    if (reevaluate) BeginStageII(*result);
+    // A shard's Stage II segments reference only that shard's triples,
+    // so the accumulation rides each subset's sweep instead of a second
+    // pass over the shards (or, budgeted, over the shard files).
+    for (const std::vector<uint32_t>& subset : subsets) {
+      if (ensure) KF_RETURN_IF_ERROR(ensure(subset));
+      SweepStageI(subset, result);
+      if (reevaluate) AccumulateStageII(subset, *result);
+    }
+    result->num_rounds = round;
+    if (callback) {
+      callback(global_round, result->probability, result->has_probability);
+    }
+    if (!reevaluate) break;
+    const double delta = FinishStageII(policy.damping, policy.quantile);
+    if ((round > 1 || policy.converge_from_round1) &&
+        delta < policy.epsilon) {
+      break;
+    }
+  }
+  result->num_unevaluated_provenances = 0;
+  for (uint8_t e : evaluated_) {
+    if (!e) ++result->num_unevaluated_provenances;
+  }
+  return Status::OK();
+}
+
 FusionResult FusionEngine::Run(const std::vector<Label>* gold,
                                const RoundCallback& callback) {
   FusionResult result = Prepare(gold);
-  const bool is_vote = options_.method == Method::kVote;
-  const size_t max_rounds = is_vote ? 1 : options_.max_rounds;
-
-  for (size_t round = 1; round <= max_rounds; ++round) {
-    StageI(round, &result);
-    result.num_rounds = round;
-    if (callback) {
-      callback(round, result.probability, result.has_probability);
-    }
-    if (is_vote) break;
-    double max_delta = StageII(result);
-    if (round > 1 && max_delta < options_.convergence_epsilon) break;
-  }
-
-  result.num_unevaluated_provenances = 0;
-  for (uint8_t e : evaluated_) {
-    if (!e) ++result.num_unevaluated_provenances;
-  }
+  KF_CHECK_OK(RunRounds(ResolveRoundPolicy(options_, /*warm=*/false, 0),
+                        {AllShards()}, EnsureFn(), &result, callback));
   return result;
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/label.h"
+#include "common/status.h"
 #include "extract/dataset.h"
 #include "fusion/claim_graph.h"
 #include "fusion/options.h"
@@ -47,6 +48,39 @@ struct FusionResult {
   double Coverage() const;
 };
 
+/// The resolved schedule of one round loop (FusionEngine::RunRounds).
+/// Internal, not an option: ResolveRoundPolicy derives it from
+/// FusionOptions and its warm_start overrides.
+struct RoundPolicy {
+  /// Global number of the loop's first round: round-dependent behavior
+  /// (the coverage filter's prefer-evaluated switch) continues the
+  /// numbering of earlier runs.
+  size_t first_round = 1;
+  size_t max_rounds = 1;
+  double epsilon = 0.0;
+  double damping = 1.0;
+  double quantile = 1.0;
+  /// Whether round 1's Stage II delta may stop the loop: a warm run
+  /// starts converged, a cold run's first delta never counts.
+  bool converge_from_round1 = false;
+};
+
+/// The one place round policies are resolved:
+///
+///   field                 cold (Run)              warm (Refuse)
+///   first_round           1                       rounds_run + 1
+///   max_rounds            max_rounds              warm_start.max_rounds
+///   epsilon               convergence_epsilon     warm_start.epsilon
+///   damping               accuracy_damping        warm_start.damping
+///   quantile              convergence_quantile    warm_start.quantile
+///   converge_from_round1  false                   true
+///
+/// A warm_start field of 0 inherits the cold value. VOTE gets one round
+/// either way (the loop stops it after Stage I). `rounds_run` is the
+/// number of rounds the engine ran in earlier Run/Refuse calls.
+RoundPolicy ResolveRoundPolicy(const FusionOptions& options, bool warm,
+                               size_t rounds_run);
+
 class FusionEngine {
  public:
   /// Observes probabilities after each round's Stage I (Fig. 14 traces).
@@ -58,16 +92,38 @@ class FusionEngine {
   FusionEngine(const extract::ExtractionDataset& dataset,
                const FusionOptions& options);
 
+  /// Makes a shard subset readable before the round loop sweeps it (the
+  /// spill layer's residency hook). A non-OK Status aborts the loop.
+  using EnsureFn = std::function<Status(const std::vector<uint32_t>& subset)>;
+
   /// Runs fusion. `gold` (triple labels) is required when
   /// options.init_accuracy_from_gold is set; otherwise it may be null.
   /// Records appended to the dataset since construction (or the previous
-  /// Run) are ingested first via Refresh().
+  /// Run) are ingested first via Refresh(). Prepare() followed by the
+  /// cold-policy RunRounds() over one subset holding every shard.
   FusionResult Run(const std::vector<Label>* gold = nullptr,
                    const RoundCallback& callback = RoundCallback());
 
+  /// The one round loop (Fig. 8), shared by cold runs, warm re-fusion and
+  /// budgeted runs. Each round is BeginStageI, then for every subset
+  /// {ensure → SweepStageI → AccumulateStageII}, then FinishStageII;
+  /// the loop stops after policy.max_rounds rounds or once the Stage II
+  /// delta falls below policy.epsilon. `subsets` must partition the
+  /// shard set; resident callers pass {AllShards()} and no `ensure`.
+  /// Sets result->num_rounds (rounds of this loop) and
+  /// num_unevaluated_provenances. `result` must come from
+  /// Prepare()/PrepareWarm().
+  Status RunRounds(const RoundPolicy& policy,
+                   const std::vector<std::vector<uint32_t>>& subsets,
+                   const EnsureFn& ensure, FusionResult* result,
+                   const RoundCallback& callback = RoundCallback());
+
+  /// Every shard id, ascending: the one subset of a resident round.
+  std::vector<uint32_t> AllShards() const;
+
   // ---- single-stage entry points ----
-  // Building blocks of Run(), exposed for the per-stage benchmarks and for
-  // callers that drive rounds themselves (streaming re-fusion). Call
+  // Building blocks of the round loop, exposed for the per-stage
+  // benchmarks and for callers that drive rounds themselves. Call
   // Prepare() before StageI/StageII.
 
   /// Re-syncs the claim graph with the dataset, rebuilding only shards
@@ -82,6 +138,7 @@ class FusionEngine {
   /// re-fusion entry point (Fuser::Refuse / kf::Session::Refuse).
   FusionResult PrepareWarm();
   /// One Stage I sweep: scores every qualified item group into `result`.
+  /// BeginStageI + SweepStageI(AllShards()).
   void StageI(size_t round, FusionResult* result);
   /// One Stage II sweep: re-evaluates provenance accuracies against
   /// `result` under the options' accuracy_damping, and returns the
@@ -95,20 +152,25 @@ class FusionEngine {
   double StageII(const FusionResult& result, double damping,
                  double quantile);
 
-  // ---- out-of-core decompositions (spill::OutOfCoreFuser) ----
+  // ---- subset decompositions (the steps of RunRounds) ----
   // StageI == BeginStageI + SweepStageI over all shards; StageII ==
   // BeginStageII + AccumulateStageII over all shards + FinishStageII.
-  // Budgeted drivers call the Begin step once per round, then sweep /
-  // accumulate each resident shard subset as the spill manager schedules
-  // it. Every triple lives in one shard and every accumulator slot
-  // belongs to one segment, so any disjoint subset decomposition — like
-  // any worker count — produces bits identical to the one-shot sweep.
+  // The round loop calls the Begin steps once per round, then sweeps and
+  // accumulates each shard subset of its plan — one subset holding every
+  // shard when resident, the spill manager's subsets when budgeted.
+  // Every triple lives in one shard and every accumulator slot belongs
+  // to one segment, so any disjoint subset decomposition — like any
+  // worker count — produces bits identical to the one-shot sweep.
 
   /// Freezes the per-round Stage I tables (log-odds, theta mask, the
   /// round's filter regime) and clears the result masks.
   void BeginStageI(size_t round, FusionResult* result);
   /// Sweeps the given shards (each must be resident or mapped). Subsets
-  /// across one round must partition the shard set.
+  /// across one round must partition the shard set. The subset is
+  /// ordered largest-first (stable) and cut into tasks of at least
+  /// kMinSweepClaimsPerTask claims: big shards become singleton tasks
+  /// started first, the small-shard tail is batched. The schedule
+  /// depends only on the subset's shard sizes, never on the workers.
   void SweepStageI(const std::vector<uint32_t>& shard_ids,
                    FusionResult* result);
   /// Sizes and zeroes the per-segment Stage II accumulators.
@@ -148,8 +210,8 @@ class FusionEngine {
   const std::vector<uint32_t>& provenance_claims() const {
     return graph_.prov_claims();
   }
-  /// Wall-clock micros the last StageI spent sweeping each shard
-  /// (indexed by shard id; 0 before the first sweep). Shards are hash
+  /// Wall-clock micros the last Stage I spent sweeping each shard
+  /// (indexed by shard id; empty before the first sweep). Shards are hash
   /// partitions of the data items, so claim counts — and these times —
   /// can be heavily skewed; the sweep schedule orders shards largest-
   /// first so the skew costs wall-clock only once, and this vector makes
@@ -171,11 +233,6 @@ class FusionEngine {
   void SweepShard(const ShardColumns& cols, double theta,
                   bool prefer_evaluated, bool score_in_place,
                   FusionResult* result) const;
-  /// Rebuilds the Stage I sweep schedule: shards ordered largest-first
-  /// (by claim count) and grouped into tasks of at least
-  /// kMinSweepClaimsPerTask claims, so scheduling granularity follows
-  /// claims instead of shard count. Deterministic and worker-independent.
-  void RebuildSweepSchedule();
 
   const extract::ExtractionDataset& dataset_;
   FusionOptions options_;
@@ -211,11 +268,7 @@ class FusionEngine {
   /// full concatenated value sequence, not from partial sums.
   std::vector<std::vector<float>> seg_values_;
 
-  // ---- Stage I sweep schedule (skew-aware, rebuilt on graph change) ----
-  std::vector<uint32_t> sweep_order_;         // shard ids, most claims first
-  std::vector<uint32_t> sweep_task_offsets_;  // CSR into sweep_order_
   std::vector<uint32_t> shard_sweep_micros_;  // by shard id, last sweep
-  bool sweep_schedule_stale_ = true;
 };
 
 /// Convenience wrapper: construct + run.

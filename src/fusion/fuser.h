@@ -5,7 +5,7 @@
 // methods by name through one code path instead of hand-wiring divergent
 // free-function signatures.
 //
-// A Fuser may keep state across calls: the engine-backed fusers hold the
+// A Fuser may keep state across calls: the engine-backed fuser holds the
 // sharded claim graph and the converged provenance accuracies of the last
 // Run(), which is what makes warm-start Refuse() possible after a dataset
 // append. Fusers are NOT thread-safe; share one per session, not across
@@ -13,6 +13,8 @@
 #ifndef KF_FUSION_FUSER_H_
 #define KF_FUSION_FUSER_H_
 
+#include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -89,6 +91,73 @@ class Fuser {
         std::string(name()) + " does not support warm-start re-fusion; "
         "run a cold Fuse() instead");
   }
+};
+
+/// What a budgeted engine fuser adds around the round loop: control over
+/// which shards are readable. kf::spill implements it (kf_fusion does not
+/// depend on kf_spill); a resident EngineFuser has none and sweeps one
+/// subset holding every shard.
+class RoundResidency {
+ public:
+  virtual ~RoundResidency() = default;
+  /// Checks beyond the fuser's own (e.g. a budget is set and the spill
+  /// destination is usable).
+  virtual Status ValidateContext(const FusionOptions& options) const = 0;
+  /// Drops every hold on the current engine's graph. Called before a cold
+  /// Run replaces the engine, and when a Run fails.
+  virtual void Detach() = 0;
+  /// Syncs with `engine`'s graph after Prepare (`warm` false: take it
+  /// over) or PrepareWarm (`warm` true: re-sync the shards the append
+  /// rebuilt), then plans subsets() for the round loop.
+  virtual Status Attach(FusionEngine* engine, bool warm) = 0;
+  /// The planned shard subsets; they partition the shard set.
+  virtual const std::vector<std::vector<uint32_t>>& subsets() const = 0;
+  /// Makes exactly `subset` readable before the loop sweeps it.
+  virtual Status EnsureOnly(const std::vector<uint32_t>& subset) = 0;
+  /// Ends the round loop (e.g. maps every shard for Snapshot).
+  virtual Status Finish() = 0;
+};
+
+/// The engine-backed fuser for VOTE / ACCU / POPACCU, resident or
+/// budgeted: it keeps the engine between calls, so Refuse() warm-starts
+/// from the converged accuracies of the previous Run()/Refuse(). Both
+/// calls resolve their RoundPolicy (ResolveRoundPolicy) and run the
+/// engine's one round loop, through `residency` when one is given.
+/// A failed Run() leaves no warm state (Refuse() then fails its
+/// precondition); a failed Refuse() keeps the engine and its round count.
+class EngineFuser : public Fuser {
+ public:
+  explicit EngineFuser(Method method,
+                       std::unique_ptr<RoundResidency> residency = nullptr);
+
+  std::string_view name() const override;
+  Status ValidateContext(const extract::ExtractionDataset& dataset,
+                         const FusionOptions& options,
+                         const FuseContext& ctx) const override;
+  Result<FusionResult> Run(const extract::ExtractionDataset& dataset,
+                           const FusionOptions& options,
+                           const FuseContext& ctx) override;
+  bool SupportsWarmStart() const override { return true; }
+  const FusionEngine* engine() const override {
+    return engine_ ? &*engine_ : nullptr;
+  }
+  Result<FusionResult> Refuse(
+      const extract::ExtractionDataset& dataset) override;
+
+ private:
+  /// Resolves the policy and runs the round loop over `result`.
+  Status RunRounds(bool warm, FusionResult* result);
+  /// Back to the never-ran state.
+  void Forget();
+
+  Method method_;
+  std::optional<FusionEngine> engine_;
+  /// Declared after engine_: destroyed first, so its holds on the graph
+  /// (spill mappings) go before the graph does.
+  std::unique_ptr<RoundResidency> residency_;
+  const extract::ExtractionDataset* dataset_ = nullptr;
+  /// Total Stage I sweeps across Run + Refuse calls (round numbering).
+  size_t rounds_run_ = 0;
 };
 
 }  // namespace kf::fusion

@@ -89,8 +89,8 @@ struct FusionOptions {
   double gold_sample_rate = 1.0;
 
   // ---- execution ----
-  /// Out-of-core fusion: when > 0, kf::Session (and spill::OutOfCoreFuser)
-  /// run the engine methods under this budget on the claim graph's
+  /// Out-of-core fusion: when > 0, kf::Session (and the fuser of
+  /// spill::MakeOutOfCoreFuser) run the engine methods under this budget on the claim graph's
   /// spillable shard columns — cold shards are written to per-shard
   /// kf::store files and mapped back zero-copy subset by subset
   /// (docs/architecture.md, "Out-of-core fusion"). Results are

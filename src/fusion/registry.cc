@@ -1,7 +1,6 @@
 #include "fusion/registry.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -39,89 +38,6 @@ FusionOptions BaseEngineOptions(const FusionOptions& options) {
   base.method_name.clear();
   return base;
 }
-
-// ---- engine methods (VOTE / ACCU / POPACCU): stateful, warm-startable --
-
-class EngineFuser : public Fuser {
- public:
-  explicit EngineFuser(Method method) : method_(method) {}
-
-  std::string_view name() const override { return Registry::NameOf(method_); }
-
-  Status ValidateContext(const extract::ExtractionDataset& dataset,
-                         const FusionOptions& options,
-                         const FuseContext& ctx) const override {
-    return CheckGold(dataset, options, ctx, /*gold_required=*/false);
-  }
-
-  Result<FusionResult> Run(const extract::ExtractionDataset& dataset,
-                           const FusionOptions& options,
-                           const FuseContext& ctx) override {
-    FusionOptions opts = BaseEngineOptions(options);
-    opts.method = method_;
-    engine_.emplace(dataset, opts);
-    dataset_ = &dataset;
-    FusionResult result = engine_->Run(ctx.gold);
-    rounds_run_ = result.num_rounds;
-    return result;
-  }
-
-  bool SupportsWarmStart() const override { return true; }
-
-  const FusionEngine* engine() const override {
-    return engine_ ? &*engine_ : nullptr;
-  }
-
-  Result<FusionResult> Refuse(
-      const extract::ExtractionDataset& dataset) override {
-    if (!engine_ || dataset_ != &dataset) {
-      return Status::FailedPrecondition(
-          "Refuse() needs a prior Run() over the same dataset");
-    }
-    const FusionOptions& opts = engine_->options();
-    const size_t max_rounds = opts.warm_start.max_rounds > 0
-                                  ? opts.warm_start.max_rounds
-                                  : opts.max_rounds;
-    const double epsilon = opts.warm_start.epsilon > 0.0
-                               ? opts.warm_start.epsilon
-                               : opts.convergence_epsilon;
-    const double damping = opts.warm_start.damping > 0.0
-                               ? opts.warm_start.damping
-                               : opts.accuracy_damping;
-    const double quantile = opts.warm_start.quantile > 0.0
-                                ? opts.warm_start.quantile
-                                : opts.convergence_quantile;
-    // Ingest appended records incrementally and keep the converged
-    // accuracies — the warm seed. New provenances enter at the default.
-    FusionResult result = engine_->PrepareWarm();
-    const bool is_vote = method_ == Method::kVote;
-    for (size_t round = 1; round <= max_rounds; ++round) {
-      // Continue the global round numbering so round-dependent behavior
-      // (the coverage filter's prefer-evaluated switch) stays in its
-      // post-round-1 regime.
-      engine_->StageI(rounds_run_ + round, &result);
-      result.num_rounds = round;
-      if (is_vote) break;
-      double delta = engine_->StageII(result, damping, quantile);
-      // Unlike a cold Run, convergence counts from round 1: a small append
-      // barely moves the accuracies, so one sweep often suffices.
-      if (delta < epsilon) break;
-    }
-    rounds_run_ += result.num_rounds;
-    result.num_unevaluated_provenances = 0;
-    for (uint8_t e : engine_->provenance_evaluated()) {
-      if (!e) ++result.num_unevaluated_provenances;
-    }
-    return result;
-  }
-
- private:
-  Method method_;
-  std::optional<FusionEngine> engine_;
-  const extract::ExtractionDataset* dataset_ = nullptr;
-  /// Total Stage I sweeps across Run + Refuse calls (round numbering).
-  size_t rounds_run_ = 0;
-};
 
 // ---- stateless wrappers over the baseline / extension free functions ---
 
@@ -273,6 +189,80 @@ constexpr Method kEngineMethods[] = {Method::kVote, Method::kAccu,
                                      Method::kPopAccu};
 
 }  // namespace
+
+// ---- engine methods (VOTE / ACCU / POPACCU): stateful, warm-startable --
+
+EngineFuser::EngineFuser(Method method,
+                         std::unique_ptr<RoundResidency> residency)
+    : method_(method), residency_(std::move(residency)) {}
+
+std::string_view EngineFuser::name() const {
+  return Registry::NameOf(method_);
+}
+
+Status EngineFuser::ValidateContext(const extract::ExtractionDataset& dataset,
+                                    const FusionOptions& options,
+                                    const FuseContext& ctx) const {
+  KF_RETURN_IF_ERROR(CheckGold(dataset, options, ctx, /*gold_required=*/false));
+  return residency_ ? residency_->ValidateContext(options) : Status::OK();
+}
+
+Result<FusionResult> EngineFuser::Run(const extract::ExtractionDataset& dataset,
+                                      const FusionOptions& options,
+                                      const FuseContext& ctx) {
+  FusionOptions opts = BaseEngineOptions(options);
+  opts.method = method_;
+  Forget();
+  engine_.emplace(dataset, opts);
+  // Prepare (graph build + accuracy init) runs fully resident; a
+  // residency governs the round loop only.
+  FusionResult result = engine_->Prepare(ctx.gold);
+  if (Status st = RunRounds(/*warm=*/false, &result); !st.ok()) {
+    Forget();
+    return st;
+  }
+  dataset_ = &dataset;
+  rounds_run_ = result.num_rounds;
+  return result;
+}
+
+Result<FusionResult> EngineFuser::Refuse(
+    const extract::ExtractionDataset& dataset) {
+  if (!engine_ || dataset_ != &dataset) {
+    return Status::FailedPrecondition(
+        "Refuse() needs a prior Run() over the same dataset");
+  }
+  // Ingest appended records incrementally and keep the converged
+  // accuracies — the warm seed. New provenances enter at the default.
+  FusionResult result = engine_->PrepareWarm();
+  KF_RETURN_IF_ERROR(RunRounds(/*warm=*/true, &result));
+  rounds_run_ += result.num_rounds;
+  return result;
+}
+
+Status EngineFuser::RunRounds(bool warm, FusionResult* result) {
+  const RoundPolicy policy =
+      ResolveRoundPolicy(engine_->options(), warm, rounds_run_);
+  if (!residency_) {
+    return engine_->RunRounds(policy, {engine_->AllShards()},
+                              FusionEngine::EnsureFn(), result);
+  }
+  KF_RETURN_IF_ERROR(residency_->Attach(&*engine_, warm));
+  KF_RETURN_IF_ERROR(engine_->RunRounds(
+      policy, residency_->subsets(),
+      [this](const std::vector<uint32_t>& subset) {
+        return residency_->EnsureOnly(subset);
+      },
+      result));
+  return residency_->Finish();
+}
+
+void EngineFuser::Forget() {
+  if (residency_) residency_->Detach();
+  engine_.reset();
+  dataset_ = nullptr;
+  rounds_run_ = 0;
+}
 
 bool ParseEngineMethod(const std::string& name, Method* method) {
   for (Method m : kEngineMethods) {

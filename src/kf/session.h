@@ -140,7 +140,7 @@ class Session {
   const kb::ValueHierarchy* hierarchy_ = nullptr;
 
   std::string method_;
-  /// Whether fuser_ is the budgeted (spill::OutOfCoreFuser) variant;
+  /// Whether fuser_ is the budgeted (spill::MakeOutOfCoreFuser) variant;
   /// switching memory_budget_bytes between zero and nonzero re-creates
   /// the fuser even when the method name is unchanged.
   bool budgeted_ = false;

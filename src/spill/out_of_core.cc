@@ -1,49 +1,29 @@
-// spill::OutOfCoreFuser — the budgeted counterpart of the registry's
-// EngineFuser. Same engine, same rounds, same convergence tests; the
-// only difference is that each round's Stage I sweep and Stage II
-// accumulation run subset-at-a-time under the spill manager, through
-// the engine's out-of-core decomposition (fusion/engine.h). Because
-// those primitives are bit-identical to the one-shot sweeps for any
-// disjoint subset decomposition, the fuser's results are bit-identical
-// to EngineFuser's for every budget and worker count.
+// The budgeted engine fuser: fusion::EngineFuser — the same engine, round
+// loop and round policies as the resident fuser — driven through a
+// SpillResidency. The only difference is that each round sweeps and
+// accumulates the spill plan's subsets, with the spill manager making
+// each subset readable first. Because the engine's subset decomposition
+// is bit-identical to the one-subset resident sweep for any disjoint
+// subset cover, the results are bit-identical to the resident fuser's
+// for every budget and worker count.
 #include <functional>
-#include <optional>
 
 #include "common/failpoint.h"
-#include "common/logging.h"
 #include "common/memprobe.h"
 #include "common/string_util.h"
-#include "fusion/registry.h"
+#include "fusion/fuser.h"
 #include "spill/spill.h"
 
 namespace kf::spill {
 
 namespace {
 
-using fusion::FuseContext;
 using fusion::FusionOptions;
-using fusion::FusionResult;
 
-class OutOfCoreFuser : public fusion::Fuser, public OutOfCoreIntrospection {
+/// The spill manager and subset plan behind a budgeted fuser's rounds.
+class SpillResidency final : public fusion::RoundResidency {
  public:
-  explicit OutOfCoreFuser(fusion::Method method) : method_(method) {}
-
-  std::string_view name() const override {
-    return fusion::Registry::NameOf(method_);
-  }
-
-  Status ValidateContext(const extract::ExtractionDataset& dataset,
-                         const FusionOptions& options,
-                         const FuseContext& ctx) const override {
-    if (options.init_accuracy_from_gold && ctx.gold == nullptr) {
-      return Status::InvalidArgument(
-          "init_accuracy_from_gold requires gold labels");
-    }
-    if (ctx.gold != nullptr && ctx.gold->size() != dataset.num_triples()) {
-      return Status::InvalidArgument(StrFormat(
-          "gold labels cover %zu triples but the dataset has %zu",
-          ctx.gold->size(), dataset.num_triples()));
-    }
+  Status ValidateContext(const FusionOptions& options) const override {
     if (options.memory_budget_bytes == 0) {
       return Status::InvalidArgument(
           "out-of-core fusion requires memory_budget_bytes > 0");
@@ -55,171 +35,101 @@ class OutOfCoreFuser : public fusion::Fuser, public OutOfCoreIntrospection {
     return ProbeSpillDir(options.spill_dir);
   }
 
-  Result<FusionResult> Run(const extract::ExtractionDataset& dataset,
-                           const FusionOptions& options,
-                           const FuseContext& ctx) override {
-    FusionOptions opts = options;
-    opts.method_name.clear();
-    opts.method = method_;
-    // The manager holds mappings the old graph references: drop it
-    // before the engine (and with it the graph) is replaced.
-    manager_.reset();
-    engine_.emplace(dataset, opts);
-    dataset_ = &dataset;
-    // Prepare (graph build + accuracy init) runs fully resident —
-    // documented: the budget governs the round loop, and its floor is
-    // the build footprint. Out-of-core construction is future work.
-    FusionResult result = engine_->Prepare(ctx.gold);
-    ShardSpillManager::Options mo;
-    mo.budget_bytes = opts.memory_budget_bytes;
-    mo.spill_dir = opts.spill_dir;
-    mo.rematerialize = MakeRematerializeHook();
-    Result<std::unique_ptr<ShardSpillManager>> mgr =
-        ShardSpillManager::Create(&engine_->mutable_graph(), mo);
-    if (!mgr.ok()) return mgr.status();
-    manager_ = std::move(*mgr);
-    plan_ = PlanSubsets(engine_->graph(), opts.memory_budget_bytes);
+  // The manager holds mappings the engine's graph references: it must go
+  // before the engine (and with it the graph) is replaced.
+  void Detach() override { manager_.reset(); }
 
-    PeakRssTracker rss;
-    const bool is_vote = method_ == fusion::Method::kVote;
-    const size_t max_rounds = is_vote ? 1 : opts.max_rounds;
-    for (size_t round = 1; round <= max_rounds; ++round) {
-      KF_RETURN_IF_ERROR(RunRound(round, is_vote, &result, &rss));
-      result.num_rounds = round;
-      if (is_vote) break;
-      const double delta = engine_->FinishStageII(
-          opts.accuracy_damping, opts.convergence_quantile);
-      if (round > 1 && delta < opts.convergence_epsilon) break;
+  Status Attach(fusion::FusionEngine* engine, bool warm) override {
+    const FusionOptions& opts = engine->options();
+    if (warm) {
+      // PrepareWarm brought the dirty shards back resident (rebuilt from
+      // the always-resident record lists — no disk reads); invalidate
+      // their stale files before the plan is recut for the new sizes.
+      manager_->Reconcile();
+    } else {
+      ShardSpillManager::Options mo;
+      mo.budget_bytes = opts.memory_budget_bytes;
+      mo.spill_dir = opts.spill_dir;
+      mo.rematerialize = MakeRematerializeHook(engine);
+      Result<std::unique_ptr<ShardSpillManager>> mgr =
+          ShardSpillManager::Create(&engine->mutable_graph(), mo);
+      if (!mgr.ok()) return mgr.status();
+      manager_ = std::move(*mgr);
     }
-    result.num_unevaluated_provenances = CountUnevaluated();
+    plan_ = PlanSubsets(engine->graph(), opts.memory_budget_bytes);
+    rss_ = PeakRssTracker();
+    return Status::OK();
+  }
+
+  const std::vector<std::vector<uint32_t>>& subsets() const override {
+    return plan_.subsets;
+  }
+
+  Status EnsureOnly(const std::vector<uint32_t>& subset) override {
+    rss_.Sample();  // the footprint the previous subset's sweep left
+    return manager_->EnsureOnly(subset);
+  }
+
+  Status Finish() override {
+    rss_.Sample();
     // End state: every shard on disk and mapped, so Snapshot /
     // ForEachClaim read zero-copy while the columns stay reclaimable
     // (or fully resident when the run degraded).
     KF_RETURN_IF_ERROR(manager_->MapAll());
-    rss.Sample();
-    peak_rss_ = rss.PeakBytes();
-    rounds_run_ = result.num_rounds;
-    return result;
+    rss_.Sample();
+    peak_rss_ = rss_.PeakBytes();
+    return Status::OK();
   }
 
-  bool SupportsWarmStart() const override { return true; }
-
-  const fusion::FusionEngine* engine() const override {
-    return engine_ ? &*engine_ : nullptr;
-  }
-
-  Result<FusionResult> Refuse(
-      const extract::ExtractionDataset& dataset) override {
-    if (!engine_ || dataset_ != &dataset) {
-      return Status::FailedPrecondition(
-          "Refuse() needs a prior Run() over the same dataset");
-    }
-    // Same warm-start override resolution as the resident EngineFuser —
-    // the two must make identical convergence decisions.
-    const FusionOptions& opts = engine_->options();
-    const size_t max_rounds = opts.warm_start.max_rounds > 0
-                                  ? opts.warm_start.max_rounds
-                                  : opts.max_rounds;
-    const double epsilon = opts.warm_start.epsilon > 0.0
-                               ? opts.warm_start.epsilon
-                               : opts.convergence_epsilon;
-    const double damping = opts.warm_start.damping > 0.0
-                               ? opts.warm_start.damping
-                               : opts.accuracy_damping;
-    const double quantile = opts.warm_start.quantile > 0.0
-                                ? opts.warm_start.quantile
-                                : opts.convergence_quantile;
-    // PrepareWarm ingests the appended records: dirty shards come back
-    // resident (rebuilt from the always-resident record lists — no disk
-    // reads), then the manager invalidates their stale files and the
-    // plan is recut for the new shard sizes.
-    FusionResult result = engine_->PrepareWarm();
-    manager_->Reconcile();
-    plan_ = PlanSubsets(engine_->graph(), opts.memory_budget_bytes);
-
-    PeakRssTracker rss;
-    const bool is_vote = method_ == fusion::Method::kVote;
-    for (size_t round = 1; round <= max_rounds; ++round) {
-      // Continue the global round numbering so round-dependent behavior
-      // (the coverage filter's prefer-evaluated switch) stays in its
-      // post-round-1 regime.
-      KF_RETURN_IF_ERROR(RunRound(rounds_run_ + round, is_vote, &result, &rss));
-      result.num_rounds = round;
-      if (is_vote) break;
-      const double delta = engine_->FinishStageII(damping, quantile);
-      // Warm re-fusion converges from round 1 (a small append barely
-      // moves the accuracies), exactly like EngineFuser::Refuse.
-      if (delta < epsilon) break;
-    }
-    rounds_run_ += result.num_rounds;
-    result.num_unevaluated_provenances = CountUnevaluated();
-    KF_RETURN_IF_ERROR(manager_->MapAll());
-    rss.Sample();
-    peak_rss_ = rss.PeakBytes();
-    return result;
-  }
-
-  // ---- OutOfCoreIntrospection ----
-  const SpillStats& spill_stats() const override {
+  const SpillStats& stats() const {
     static const SpillStats kEmpty;
     return manager_ ? manager_->stats() : kEmpty;
   }
-  const SpillPlan& spill_plan() const override { return plan_; }
-  size_t round_loop_peak_rss() const override { return peak_rss_; }
+  const SpillPlan& plan() const { return plan_; }
+  size_t peak_rss() const { return peak_rss_; }
 
  private:
   /// The manager's recovery hook: rebuilds an evicted shard's columns
   /// bit-identical from the engine's always-resident record lists. A
   /// failpoint site of its own so tests can exhaust the whole ladder
   /// (spill.remat armed = even recovery fails → clean Status).
-  std::function<Status(uint32_t)> MakeRematerializeHook() {
-    return [this](uint32_t s) -> Status {
+  static std::function<Status(uint32_t)> MakeRematerializeHook(
+      fusion::FusionEngine* engine) {
+    return [engine](uint32_t s) -> Status {
       if (const int e = fault::Inject("spill.remat")) {
         return Status::FromErrno("rematerialize shard",
                                  StrFormat("%u", s), e);
       }
-      engine_->RematerializeShard(s);
+      engine->RematerializeShard(s);
       return Status::OK();
     };
   }
 
-  /// One budgeted round: freeze the Stage I tables, then sweep and (for
-  /// iterative methods) accumulate Stage II subset-by-subset. A shard's
-  /// Stage II segments reference only that shard's triples, so the
-  /// accumulation can ride each subset's sweep instead of a second pass
-  /// over the shard files. An error means the manager's degradation
-  /// ladder ran dry — the run cannot produce a result.
-  Status RunRound(size_t round, bool is_vote, FusionResult* result,
-                  PeakRssTracker* rss) {
-    engine_->BeginStageI(round, result);
-    if (!is_vote) engine_->BeginStageII(*result);
-    for (const std::vector<uint32_t>& subset : plan_.subsets) {
-      KF_RETURN_IF_ERROR(manager_->EnsureOnly(subset));
-      engine_->SweepStageI(subset, result);
-      if (!is_vote) engine_->AccumulateStageII(subset, *result);
-      rss->Sample();
-    }
-    return Status::OK();
-  }
-
-  size_t CountUnevaluated() const {
-    size_t n = 0;
-    for (uint8_t e : engine_->provenance_evaluated()) {
-      if (!e) ++n;
-    }
-    return n;
-  }
-
-  fusion::Method method_;
-  std::optional<fusion::FusionEngine> engine_;
-  /// Declared after engine_: destroyed first, detaching its mappings
-  /// from the graph before the graph goes away.
   std::unique_ptr<ShardSpillManager> manager_;
-  const extract::ExtractionDataset* dataset_ = nullptr;
   SpillPlan plan_;
+  PeakRssTracker rss_;
   size_t peak_rss_ = 0;
-  /// Total Stage I sweeps across Run + Refuse calls (round numbering).
-  size_t rounds_run_ = 0;
+};
+
+/// EngineFuser plus read access to its spill counters. Adds no fusion
+/// behavior: Run/Refuse are EngineFuser's.
+class OutOfCoreFuser final : public fusion::EngineFuser,
+                             public OutOfCoreIntrospection {
+ public:
+  explicit OutOfCoreFuser(fusion::Method method)
+      : OutOfCoreFuser(method, new SpillResidency) {}
+
+  const SpillStats& spill_stats() const override { return spill_->stats(); }
+  const SpillPlan& spill_plan() const override { return spill_->plan(); }
+  size_t round_loop_peak_rss() const override { return spill_->peak_rss(); }
+
+ private:
+  // EngineFuser owns the residency; spill_ reads it for the fuser's life.
+  OutOfCoreFuser(fusion::Method method, SpillResidency* spill)
+      : EngineFuser(method, std::unique_ptr<fusion::RoundResidency>(spill)),
+        spill_(spill) {}
+
+  const SpillResidency* spill_;
 };
 
 }  // namespace

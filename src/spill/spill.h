@@ -202,10 +202,11 @@ class ShardSpillManager {
 /// directory is created and left in place.
 Status ProbeSpillDir(const std::string& spill_dir);
 
-/// Creates the budgeted engine-method fuser (VOTE / ACCU / POPACCU run
-/// out-of-core; registry-only baselines and extensions do not go through
-/// the engine and cannot be budgeted). kf::Session routes here when
-/// options.memory_budget_bytes > 0.
+/// Creates the budgeted engine-method fuser: fusion::EngineFuser with a
+/// spill residency, so each round sweeps the PlanSubsets plan one subset
+/// at a time (VOTE / ACCU / POPACCU; registry-only baselines and
+/// extensions do not go through the engine and cannot be budgeted).
+/// kf::Session routes here when options.memory_budget_bytes > 0.
 std::unique_ptr<fusion::Fuser> MakeOutOfCoreFuser(fusion::Method method);
 
 /// Introspection interface of the fuser MakeOutOfCoreFuser returns, for

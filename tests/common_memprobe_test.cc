@@ -5,6 +5,8 @@
 // asserts the Linux behavior.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -69,10 +71,19 @@ TEST(MemprobeTest, TrackerSampleIsMonotone) {
 
 TEST(MemprobeTest, ResetPeakRebasesTheHighWater) {
   // After a large allocation is freed, a successful reset must bring
-  // the reported peak down below the old high-water.
+  // the reported peak down below the old high-water. The block is an
+  // anonymous mapping returned with munmap, not heap: a sanitizer
+  // allocator's quarantine would keep a freed heap block resident and
+  // the rebased peak would never drop.
   const size_t inflated = [] {
-    auto buf = TouchBytes(96u << 20);
-    return PeakRssBytes();
+    constexpr size_t kBytes = 96u << 20;
+    void* block = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (block == MAP_FAILED) return size_t{0};
+    std::memset(block, 0x5a, kBytes);
+    const size_t peak = PeakRssBytes();
+    munmap(block, kBytes);
+    return peak;
   }();
   if (inflated == 0) GTEST_SKIP() << "probe unavailable";
   if (!ResetPeakRss()) GTEST_SKIP() << "clear_refs unsupported";

@@ -5,6 +5,7 @@
 // the largest-first sweep schedule — depends on the worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "eval/gold_standard.h"
@@ -82,14 +83,34 @@ void ExpectBitIdentical(const Capture& a, const Capture& b) {
 
 class MethodSweep : public ::testing::TestWithParam<Method> {};
 
+/// Claims in the graph's largest shard under `opts`.
+size_t LargestShardClaims(const FusionOptions& opts) {
+  FusionEngine engine(GetWorkload().corpus.dataset, opts);
+  engine.Prepare();
+  size_t largest = 0;
+  for (size_t s = 0; s < engine.graph().num_shards(); ++s) {
+    largest = std::max(largest, engine.graph().shard(s).num_claims());
+  }
+  return largest;
+}
+
 TEST_P(MethodSweep, IdenticalAcrossWorkerCounts) {
   FusionOptions opts;
   opts.method = GetParam();
-  opts.num_shards = 8;  // fixed: the contract is per shard count
-  const Capture reference = RunWith(opts, 1);
-  for (size_t workers : WorkerCounts()) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    ExpectBitIdentical(reference, RunWith(opts, workers));
+  // The contract is per shard count. Stage I cuts its sweep into tasks
+  // of at least 2048 claims; at 256 shards every shard is below that
+  // grain (some are empty), so each task batches dozens of shards.
+  for (size_t shards : {size_t{8}, size_t{256}}) {
+    opts.num_shards = shards;
+    if (shards == 256) {
+      ASSERT_LT(LargestShardClaims(opts), 2048u);
+    }
+    const Capture reference = RunWith(opts, 1);
+    for (size_t workers : WorkerCounts()) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " workers=" + std::to_string(workers));
+      ExpectBitIdentical(reference, RunWith(opts, workers));
+    }
   }
 }
 

@@ -130,8 +130,8 @@ TEST_F(SpillFaultTest, TransientWriteFaultsRecoverBitIdentical) {
 // ---- rung 2: corruption is quarantined and rebuilt from memory -------
 
 TEST_F(SpillFaultTest, ByteFlipBetweenRoundsQuarantinesAndRecovers) {
-  // Drive the engine's round loop by hand (the same decomposition
-  // OutOfCoreFuser runs) so bytes can be flipped in spilled shard files
+  // Drive the engine's round loop by hand (the same decomposition the
+  // budgeted fuser runs) so bytes can be flipped in spilled shard files
   // BETWEEN rounds, then assert the quarantine + rewrite-from-resident
   // path converges to a FusedKB operator==-equal to the resident run's.
   const auto& dataset = GetDataset();

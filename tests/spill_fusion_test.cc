@@ -66,6 +66,7 @@ bool ForceTinyBudget() {
 struct GraphBytes {
   size_t total = 0;
   size_t largest = 0;
+  size_t largest_claims = 0;  // claims of the largest shard
 };
 
 GraphBytes MeasureGraph(const extract::ExtractionDataset& dataset,
@@ -81,6 +82,8 @@ GraphBytes MeasureGraph(const extract::ExtractionDataset& dataset,
     const size_t bytes = engine.graph().shard(s).SpillableBytes();
     g.total += bytes;
     g.largest = std::max(g.largest, bytes);
+    g.largest_claims =
+        std::max(g.largest_claims, engine.graph().shard(s).num_claims());
   }
   return g;
 }
@@ -166,6 +169,19 @@ TEST_P(BudgetMethodSweep, BitIdenticalAcrossBudgetsAndWorkers) {
       ExpectBitIdentical(reference,
                          RunBudgeted(dataset, opts, budget, workers));
     }
+  }
+
+  // 256 shards: every shard is below the Stage I task grain (2048
+  // claims), so the sweep of each multi-shard subset batches several
+  // shards per task.
+  opts.num_shards = 256;
+  const GraphBytes small = MeasureGraph(dataset, opts);
+  ASSERT_LT(small.largest_claims, 2048u);
+  const Capture small_reference = RunResident(dataset, opts);
+  for (size_t workers : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("shards=256 workers=" + std::to_string(workers));
+    ExpectBitIdentical(small_reference,
+                       RunBudgeted(dataset, opts, OneBudget(small), workers));
   }
 }
 
@@ -261,47 +277,112 @@ TEST(SpillFusionTest, UnconstrainedBudgetSpillsNothingDuringRounds) {
 
 // ---- incremental: Append + Refuse over spilled dirty shards -----------
 
+/// Cold Run, Append, then warm rounds driven by hand through the public
+/// stage entry points, with the warm policy spelled out from the table
+/// in fusion/engine.h rather than resolved by ResolveRoundPolicy: round
+/// numbers continue the cold run's, each warm_start field of 0 inherits
+/// the cold value, VOTE stops after one Stage I, and convergence counts
+/// from round 1.
+Capture HandDrivenWarmRefuse(const extract::ExtractionDataset& src,
+                             size_t base, FusionOptions opts) {
+  opts.num_workers = 1;
+  extract::ExtractionDataset dataset = CloneRecordPrefix(src, base);
+  FusionEngine engine(dataset, opts);
+  const size_t cold_rounds = engine.Run().num_rounds;
+  KF_CHECK_OK(dataset.Append(ReinternTail(src, base, &dataset)));
+
+  const fusion::WarmStartOptions& w = opts.warm_start;
+  const size_t max_rounds =
+      w.max_rounds > 0 ? w.max_rounds : opts.max_rounds;
+  const double epsilon =
+      w.epsilon > 0 ? w.epsilon : opts.convergence_epsilon;
+  const double damping = w.damping > 0 ? w.damping : opts.accuracy_damping;
+  const double quantile =
+      w.quantile > 0 ? w.quantile : opts.convergence_quantile;
+  Capture c;
+  c.result = engine.PrepareWarm();
+  for (size_t round = 1; round <= max_rounds; ++round) {
+    engine.StageI(cold_rounds + round, &c.result);
+    c.result.num_rounds = round;
+    if (opts.method == Method::kVote) break;
+    if (engine.StageII(c.result, damping, quantile) < epsilon) break;
+  }
+  for (uint8_t e : engine.provenance_evaluated()) {
+    if (!e) ++c.result.num_unevaluated_provenances;
+  }
+  c.accuracies = engine.provenance_accuracy();
+  c.prov_claims = engine.provenance_claims();
+  return c;
+}
+
+/// Run, Append, Refuse through `fuser`; captures the warm result.
+Capture FuserWarmRefuse(fusion::Fuser* fuser,
+                        const extract::ExtractionDataset& src, size_t base,
+                        const FusionOptions& opts) {
+  extract::ExtractionDataset dataset = CloneRecordPrefix(src, base);
+  fusion::FuseContext ctx;
+  KF_CHECK_OK(fuser->ValidateContext(dataset, opts, ctx));
+  KF_CHECK_OK(fuser->Run(dataset, opts, ctx).status());
+  KF_CHECK_OK(dataset.Append(ReinternTail(src, base, &dataset)));
+  Result<FusionResult> warm = fuser->Refuse(dataset);
+  KF_CHECK_OK(warm.status());
+  Capture c;
+  c.result = std::move(warm).value();
+  c.accuracies = fuser->engine()->provenance_accuracy();
+  c.prov_claims = fuser->engine()->provenance_claims();
+  return c;
+}
+
 TEST(SpillFusionTest, WarmRefuseBitIdenticalToResident) {
   const auto& src = GetWorkload().corpus.dataset;
   const size_t base = src.num_records() * 2 / 3;
-  FusionOptions opts = FusionOptions::PopAccu();
-  opts.num_shards = 8;
-  const GraphBytes g = MeasureGraph(src, opts);
 
-  // Resident reference: registry EngineFuser, Run then Append + Refuse.
-  extract::ExtractionDataset resident = CloneRecordPrefix(src, base);
-  auto created = fusion::Registry::Create("popaccu");
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<fusion::Fuser> ref_fuser = std::move(*created);
-  fusion::FuseContext ctx;
-  opts.num_workers = 1;
-  KF_CHECK_OK(ref_fuser->Run(resident, opts, ctx).status());
-  KF_CHECK_OK(resident.Append(ReinternTail(src, base, &resident)));
-  auto ref_warm = ref_fuser->Refuse(resident);
-  ASSERT_TRUE(ref_warm.ok());
+  struct Case {
+    const char* name;
+    FusionOptions opts;
+  };
+  std::vector<Case> cases = {{"popaccu", FusionOptions::PopAccu()},
+                             {"vote", FusionOptions::Vote()},
+                             {"accu", FusionOptions::Accu()}};
+  FusionOptions overrides = FusionOptions::PopAccu();
+  overrides.warm_start.max_rounds = 3;
+  overrides.warm_start.epsilon = 1e-3;
+  overrides.warm_start.damping = 0.5;
+  overrides.warm_start.quantile = 0.9;
+  cases.push_back({"popaccu+warm_start", overrides});
+  // The coverage filter switches regime after global round 1, so a warm
+  // loop that restarted the round numbering would differ.
+  FusionOptions coverage = FusionOptions::PopAccuPlusUnsup();
+  coverage.warm_start.quantile = 0.98;
+  cases.push_back({"popaccu+coverage", coverage});
 
-  // Budgeted run: same record sequence, dirty shards spilled between
-  // the cold Run and the Refuse.
-  for (size_t workers : {size_t{1}, size_t{8}}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    extract::ExtractionDataset budgeted = CloneRecordPrefix(src, base);
-    FusionOptions bopts = opts;
-    bopts.num_workers = workers;
-    bopts.memory_budget_bytes = OneBudget(g);
-    std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(Method::kPopAccu);
-    KF_CHECK_OK(fuser->ValidateContext(budgeted, bopts, ctx));
-    KF_CHECK_OK(fuser->Run(budgeted, bopts, ctx).status());
-    KF_CHECK_OK(budgeted.Append(ReinternTail(src, base, &budgeted)));
-    auto warm = fuser->Refuse(budgeted);
-    ASSERT_TRUE(warm.ok());
-    EXPECT_EQ(warm->probability, ref_warm->probability);
-    EXPECT_EQ(warm->has_probability, ref_warm->has_probability);
-    EXPECT_EQ(warm->from_fallback, ref_warm->from_fallback);
-    EXPECT_EQ(warm->num_rounds, ref_warm->num_rounds);
-    EXPECT_EQ(fuser->engine()->provenance_accuracy(),
-              ref_fuser->engine()->provenance_accuracy());
-    EXPECT_EQ(fuser->engine()->provenance_claims(),
-              ref_fuser->engine()->provenance_claims());
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.opts.num_shards = 8;
+    const Capture oracle = HandDrivenWarmRefuse(src, base, c.opts);
+    if (c.opts.warm_start.max_rounds > 0) {
+      EXPECT_LE(oracle.result.num_rounds, c.opts.warm_start.max_rounds);
+    }
+
+    // Resident: the registry's engine fuser.
+    FusionOptions ropts = c.opts;
+    ropts.num_workers = 1;
+    auto created = fusion::Registry::Create(
+        fusion::Registry::NameOf(c.opts.method));
+    ASSERT_TRUE(created.ok());
+    ExpectBitIdentical(oracle,
+                       FuserWarmRefuse(created->get(), src, base, ropts));
+
+    // Budgeted: dirty shards spilled between the cold Run and the Refuse.
+    const GraphBytes g = MeasureGraph(src, c.opts);
+    for (size_t workers : {size_t{1}, size_t{8}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      FusionOptions bopts = c.opts;
+      bopts.num_workers = workers;
+      bopts.memory_budget_bytes = OneBudget(g);
+      std::unique_ptr<fusion::Fuser> fuser = MakeOutOfCoreFuser(c.opts.method);
+      ExpectBitIdentical(oracle, FuserWarmRefuse(fuser.get(), src, base, bopts));
+    }
   }
 }
 
