@@ -12,7 +12,10 @@ CI / pre-commit gate:
     scripts/bench_compare.py old.json BENCH_perf.json --threshold 10
 
 Only per-iteration entries are compared (aggregate rows such as _mean /
-_stddev are skipped). Baseline benchmarks missing from the candidate also
+_stddev are skipped). Repetitions of one benchmark (--benchmark_repetitions)
+merge by their median, so one outlier repetition cannot flag a row; a row
+with at least 4 repetitions also prints each side's q1-q3 range, the spread
+to read the delta against. Baseline benchmarks missing from the candidate also
 fail the gate (a renamed or deleted bench must not silently drop out of
 comparison); benches only in the candidate are informational. A "debug"
 kf_build_type in either context block is reported loudly: debug numbers
@@ -40,7 +43,13 @@ relative to the baseline's efficiency at the same worker count.
 import argparse
 import json
 import re
+import statistics
 import sys
+
+MERGED_METRICS = ("real_time", "cpu_time", "items_per_second",
+                  "bytes_per_second")
+# Repetitions needed before a row prints its q1-q3 range.
+MIN_REPS_FOR_QUARTILES = 4
 
 
 def load(path):
@@ -52,17 +61,19 @@ def load(path):
             continue  # skip _mean/_median/_stddev aggregates
         reps.setdefault(b["name"], []).append(b)
     # With --benchmark_repetitions every repetition shares one name;
-    # compare the mean over repetitions rather than whichever repetition
-    # happened to be listed last.
+    # compare the median over repetitions (a timing's robust center)
+    # rather than whichever repetition happened to be listed last.
     runs = {}
     for name, entries in reps.items():
         merged = dict(entries[0])
-        if len(entries) > 1:
-            for metric in ("real_time", "cpu_time", "items_per_second",
-                           "bytes_per_second"):
-                vals = [e[metric] for e in entries if metric in e]
-                if vals:
-                    merged[metric] = sum(vals) / len(vals)
+        merged["repetitions"] = len(entries)
+        for metric in MERGED_METRICS:
+            vals = [e[metric] for e in entries if metric in e]
+            if vals:
+                merged[metric] = statistics.median(vals)
+            if len(vals) >= MIN_REPS_FOR_QUARTILES:
+                q1, _, q3 = statistics.quantiles(vals, n=4)
+                merged[metric + "_iqr"] = (q1, q3)
         runs[name] = merged
     return doc.get("context", {}), runs
 
@@ -158,8 +169,14 @@ def main():
         unit = o.get("time_unit", "ns")
         ot, nt = o[args.metric], n[args.metric]
         delta = (nt - ot) / ot * 100.0 if ot else float("inf")
+        spread = ""
+        oq, nq = o.get(args.metric + "_iqr"), n.get(args.metric + "_iqr")
+        if oq or nq:
+            def iqr(q):
+                return f"{q[0]:.3f}-{q[1]:.3f}" if q else "-"
+            spread = f"  q1-q3 old {iqr(oq)} new {iqr(nq)}"
         print(f"{name:<{width}}  {ot:>10.3f}{unit}  {nt:>10.3f}{unit}  "
-              f"{delta:>+7.1f}%")
+              f"{delta:>+7.1f}%{spread}")
         if delta > args.threshold:
             regressions.append((name, delta))
         # Throughput gates: items/sec (multi-threaded QPS benches) or

@@ -42,6 +42,14 @@ double VoteWeight(double accuracy) {
 
 bool ValidUnitInterval(double v) { return std::isfinite(v) && v >= 0.0 && v <= 1.0; }
 
+/// "(subject, predicate, object)" of triple `t`, for error messages.
+std::string TripleName(const store::FusedKbColumns& c, uint32_t t) {
+  const uint32_t item = c.triple_item[t];
+  return "(" + c.subjects.Get(c.item_subject[item]) + ", " +
+         c.predicates.Get(c.item_predicate[item]) + ", " +
+         c.objects.Get(c.triple_object[t]) + ")";
+}
+
 /// A triple under a sort key.
 struct Ranked {
   uint64_t key;
@@ -177,8 +185,7 @@ Result<FusedKB> FusedKB::Snapshot(const extract::ExtractionDataset& dataset,
                   gold->size(), n));
   }
 
-  FusedKB snap;
-  store::FusedKbColumns& c = snap.cols_;
+  store::FusedKbColumns c;
   c.method = std::move(method);
   c.num_rounds = result.num_rounds;
 
@@ -327,8 +334,60 @@ Result<FusedKB> FusedKB::Snapshot(const extract::ExtractionDataset& dataset,
     row.description = buf;
   }
 
-  KF_RETURN_IF_ERROR(snap.BuildIndexes());
-  return snap;
+  return FromColumns(std::move(c), /*verify_winners=*/false);
+}
+
+Result<FusedKB> FusedKB::FromColumns(store::FusedKbColumns cols,
+                                     bool verify_winners) {
+  for (const extract::FusedKbProvRow& p : cols.provenances) {
+    if (!ValidUnitInterval(p.accuracy)) {
+      return Status::InvalidArgument(
+          StrFormat("provenance '%s': accuracy %g outside [0,1]",
+                    p.description.c_str(), p.accuracy));
+    }
+  }
+  const uint32_t n = static_cast<uint32_t>(cols.num_triples());
+  for (uint32_t t = 0; t < n; ++t) {
+    if (!ValidUnitInterval(cols.probability[t]) ||
+        !ValidUnitInterval(cols.calibrated[t])) {
+      return Status::InvalidArgument(
+          StrFormat("triple %s: probabilities outside [0,1]",
+                    TripleName(cols, t).c_str()));
+    }
+  }
+  // supporters() promises ascending lists, and Explain lists each
+  // provenance once.
+  for (uint32_t t = 0; t < n; ++t) {
+    for (uint32_t s = cols.support_offsets[t];
+         s < cols.support_offsets[t + 1]; ++s) {
+      if (cols.supporters[s] >= cols.provenances.size() ||
+          (s > cols.support_offsets[t] &&
+           cols.supporters[s] <= cols.supporters[s - 1])) {
+        return Status::InvalidArgument(
+            StrFormat("triple %s: supporters not strictly ascending "
+                      "provenance indices",
+                      TripleName(cols, t).c_str()));
+      }
+    }
+  }
+
+  FusedKB kb;
+  kb.cols_ = std::move(cols);
+  std::vector<uint8_t> given;
+  if (verify_winners) given = kb.cols_.triple_flags;
+  KF_RETURN_IF_ERROR(kb.BuildIndexes());
+  // BuildIndexes re-derives only the winner bits. The winner column is
+  // derived data; an inconsistent file (hand-edited or truncated) is
+  // rejected rather than silently re-derived.
+  for (uint32_t t = 0; t < given.size(); ++t) {
+    if (given[t] != kb.cols_.triple_flags[t]) {
+      return Status::InvalidArgument(
+          StrFormat("triple %s: winner flag inconsistent with the "
+                    "probabilities",
+                    TripleName(kb.cols_, t).c_str()));
+    }
+  }
+  return kb;
 }
 
 Status FusedKB::BuildIndexes() {
@@ -408,10 +467,7 @@ Status FusedKB::BuildIndexes() {
       const uint32_t object = c.triple_object[item_triples_[s]];
       if (seen_in[object] == i) {
         return Status::InvalidArgument(
-            StrFormat("duplicate triple (%s, %s, %s)",
-                      c.subjects.Get(c.item_subject[i]).c_str(),
-                      c.predicates.Get(c.item_predicate[i]).c_str(),
-                      c.objects.Get(object).c_str()));
+            "duplicate triple " + TripleName(c, item_triples_[s]));
       }
       seen_in[object] = i;
     }
@@ -576,42 +632,9 @@ Status FusedKB::ExportTsv(const std::string& path) const {
   return store::AtomicWriteFile(path, ToTsv());
 }
 
-Result<FusedKB> FusedKB::FromRows(const extract::FusedKbTsv& tsv) {
-  for (const extract::FusedKbProvRow& p : tsv.provenances) {
-    if (!ValidUnitInterval(p.accuracy)) {
-      return Status::InvalidArgument(
-          StrFormat("provenance '%s': accuracy %g outside [0,1]",
-                    p.description.c_str(), p.accuracy));
-    }
-  }
-  for (const extract::FusedKbTripleRow& row : tsv.triples) {
-    if (!ValidUnitInterval(row.probability) ||
-        !ValidUnitInterval(row.calibrated)) {
-      return Status::InvalidArgument(
-          StrFormat("triple (%s, %s, %s): probabilities outside [0,1]",
-                    row.subject.c_str(), row.predicate.c_str(),
-                    row.object.c_str()));
-    }
-  }
-  FusedKB kb;
-  kb.cols_ = store::FusedKbColumnsFromRows(tsv);
-  KF_RETURN_IF_ERROR(kb.BuildIndexes());
-
-  // The winner column is derived data; an inconsistent file (hand-edited
-  // or truncated) is rejected rather than silently re-derived.
-  for (uint32_t t = 0; t < kb.num_triples(); ++t) {
-    const bool derived =
-        (kb.cols_.triple_flags[t] & store::kKbWinner) != 0;
-    if (derived != tsv.triples[t].winner) {
-      const extract::FusedKbTripleRow& row = tsv.triples[t];
-      return Status::InvalidArgument(
-          StrFormat("triple (%s, %s, %s): winner flag inconsistent with "
-                    "the probabilities",
-                    row.subject.c_str(), row.predicate.c_str(),
-                    row.object.c_str()));
-    }
-  }
-  return kb;
+Result<FusedKB> FusedKB::FromRows(const extract::FusedKbTsv& rows) {
+  return FromColumns(store::FusedKbColumnsFromRows(rows),
+                     /*verify_winners=*/true);
 }
 
 Result<FusedKB> FusedKB::FromTsv(const std::string& text) {
@@ -638,21 +661,26 @@ Status FusedKB::ExportBinary(const std::string& path) const {
 }
 
 Result<FusedKB> FusedKB::FromBinary(std::string_view bytes) {
-  Result<extract::FusedKbTsv> rows = store::LoadFusedKb(bytes);
-  if (!rows.ok()) return rows.status();
-  return FromRows(*rows);
+  Result<store::FusedKbColumns> cols = store::DecodeFusedKb(bytes);
+  if (!cols.ok()) return cols.status();
+  return FromColumns(std::move(*cols), /*verify_winners=*/true);
 }
 
 Result<FusedKB> FusedKB::ImportBinary(const std::string& path) {
-  Result<extract::FusedKbTsv> rows = store::LoadFusedKbFile(path);
-  if (!rows.ok()) return rows.status();
-  return FromRows(*rows);
+  Result<std::string> bytes = extract::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();  // already names the path
+  Result<FusedKB> kb = FromBinary(*bytes);
+  if (!kb.ok()) {
+    return Status(kb.status().code(), path + ": " + kb.status().message());
+  }
+  return kb;
 }
 
 bool operator==(const FusedKB& a, const FusedKB& b) {
-  // Both construction paths intern strings and number items in first-use
-  // order over the triples, so equal names per triple is exactly equal
-  // dictionaries plus equal id columns.
+  // Every construction path interns strings and numbers items in
+  // first-use order over the triples (DecodeFusedKb rejects any other
+  // image), so equal names per triple is exactly equal dictionaries plus
+  // equal id columns.
   auto same_strings = [](const StringInterner& x, const StringInterner& y) {
     if (x.size() != y.size()) return false;
     for (uint32_t i = 0; i < x.size(); ++i) {

@@ -161,13 +161,13 @@ class FusedKB {
   // Two wire formats share one schema: the row-tagged TSV (ToTsv) and
   // the kf::store binary columnar container (ToBinary) — ~3-4x smaller
   // and >5x faster to load. Both round-trip bit-exactly through the same
-  // validated construction (FromRows). ToBinary writes the KB's own
-  // columns; it is byte-identical to store::WriteFusedKb(ToRows()).
+  // validated construction (FromColumns). ToBinary writes the KB's own
+  // columns and FromBinary decodes an image straight back into them; the
+  // image is byte-identical to store::WriteFusedKb(ToRows()).
 
   /// The KB in schema form — what the TSV serializer writes.
   extract::FusedKbTsv ToRows() const;
-  /// Validated construction from schema rows: unit-interval checks,
-  /// winner-flag consistency, index build. Both importers land here.
+  /// Validated construction from schema rows (see FromColumns).
   static Result<FusedKB> FromRows(const extract::FusedKbTsv& rows);
 
   std::string ToTsv() const;
@@ -178,6 +178,8 @@ class FusedKB {
   /// The kf::store binary image (content kind fused-kb).
   std::string ToBinary() const;
   Status ExportBinary(const std::string& path) const;
+  /// store::DecodeFusedKb, then FromColumns: no rows are built and no
+  /// string is copied twice. FromBinary(img)->ToBinary() == img.
   static Result<FusedKB> FromBinary(std::string_view bytes);
   static Result<FusedKB> ImportBinary(const std::string& path);
 
@@ -204,6 +206,13 @@ class FusedKB {
                                   const std::vector<Label>* gold = nullptr);
 
  private:
+  /// The one validated construction: every accuracy and probability in
+  /// [0,1], every supporter list strictly ascending and in range, then
+  /// BuildIndexes. With `verify_winners` the kKbWinner bits the columns
+  /// carry must equal the derived ones (an import); without, they are
+  /// derived (a snapshot). Failures are InvalidArgument.
+  static Result<FusedKB> FromColumns(store::FusedKbColumns cols,
+                                     bool verify_winners);
   KbVerdict MakeVerdict(uint32_t t) const;
   /// Derives the item CSR, the winners (and their flag bits), the
   /// probability order, and the item index from the columns. Fails on

@@ -20,6 +20,10 @@
 //                holding its maximum — id columns are mostly 1-2 bytes
 //                wide; still O(1) random access off a mapping
 //
+// Content kinds: a corpus and a fused KB (store/store.h) and one
+// claim-graph shard (store/shard_store.h). Each kind has one parser,
+// which validates the whole image before anything reads it.
+//
 // Versioning: readers reject any file whose major version differs
 // (kFormatVersion bumps on incompatible layout changes); unknown block
 // ids are ignored so minor additions stay forward-compatible.
@@ -50,11 +54,8 @@ enum class ContentKind : uint32_t {
   // One claim-graph shard's spillable columns (spill::ShardSpillManager).
   // All blocks are kRaw so a mapped file serves the columns in place.
   kClaimShard = 3,
-  // Concatenation of kClaimShard members into one container: each
-  // member's blocks keep their ids and payload bytes (BlockEntry.reserved
-  // carries the 1-based member ordinal), plus one bundle-level directory
-  // block. Produced by ConcatShardFiles without decode/re-encode.
-  kShardBundle = 4,
+  // 4 is reserved: older builds wrote shard bundles under it, so a new
+  // kind taking it would misread their files. Never reuse it.
 };
 
 enum class Encoding : uint32_t {
@@ -121,7 +122,7 @@ enum class BlockId : uint32_t {
   kKbSupportOffsets = 55,  // kDeltaVarint, rows = triples + 1
   kKbSupporters = 56,      // kVarintList over the offsets above
 
-  // ---- claim-shard sections (kClaimShard / kShardBundle members) ----
+  // ---- claim-shard sections (kClaimShard) ----
   // All kRaw: the spill layer reads these zero-copy off a mapping.
   kShardMeta = 70,        // kRaw u64[3]: shard_id, num_items, num_claims
   kShardItems = 71,       // kRaw u32 (DataItemId), per item group
@@ -132,10 +133,8 @@ enum class BlockId : uint32_t {
   kShardClaimProv = 76,     // kRaw u32, per claim
   kShardClaimConfidence = 77,  // kRaw f32, per claim
   kShardProvTriples = 78,   // kRaw u32 (TripleId), local prov cross-index
-  // Bundle-level only (BlockEntry.reserved == 0): u64[2] per member —
-  // shard_id, 1-based member ordinal (the `reserved` tag of the member's
-  // blocks). Ordered by member ordinal.
-  kShardDirectory = 79,
+  // 79 is reserved: older builds wrote the shard-bundle directory under
+  // it. Never reuse it.
 };
 
 /// On-disk file header (40 bytes, little-endian).
@@ -158,9 +157,7 @@ struct BlockEntry {
   uint64_t offset;    // absolute payload offset, 8-aligned
   uint64_t size;      // payload bytes
   uint32_t crc32;     // CRC-32 of the payload bytes
-  // Zero in every kind except kShardBundle, where it carries the 1-based
-  // member ordinal (0 = a bundle-level block such as kShardDirectory).
-  uint32_t reserved;
+  uint32_t reserved;  // always zero; BlockFile::Parse rejects anything else
 };
 static_assert(sizeof(BlockEntry) == 40, "BlockEntry layout is part of the format");
 
@@ -265,42 +262,27 @@ class BlockBuilder {
   void AddVarintLists(BlockId id, const std::vector<uint32_t>& offsets,
                       const std::vector<uint32_t>& values);
 
-  /// Re-appends an already-encoded block verbatim: the payload bytes are
-  /// copied as-is and `entry`'s id/encoding/rows/crc32 are reused (no
-  /// decode, no re-encode, no re-checksum — the source Parse validated
-  /// the CRC). `member_tag` lands in BlockEntry.reserved; nonzero tags
-  /// are how kShardBundle distinguishes its members' blocks.
-  void AddVerbatim(const BlockEntry& entry, std::string_view payload,
-                   uint32_t member_tag = 0);
-
   /// Assembles the final file. The builder is consumed.
   std::string Finish(ContentKind kind);
 
  private:
   void AddEncoded(BlockId id, Encoding encoding, std::string_view payload,
-                  uint64_t rows, uint32_t member_tag = 0);
+                  uint64_t rows);
 
   std::string payloads_;  // block bytes, each 8-aligned relative to 0
   std::vector<BlockEntry> toc_;  // offsets relative to payloads_ until Finish
 };
 
 /// Parses and validates a store file image (owning buffer or mmap): the
-/// header, TOC bounds, and every block's bounds and CRC-32. Typed
-/// accessors re-check element width and alignment, so a crafted file can
-/// fail cleanly but never fault.
+/// header, TOC bounds, and every block's bounds, CRC-32 and zero
+/// `reserved` field. Typed accessors re-check element width and
+/// alignment, so a crafted file can fail cleanly but never fault.
 class BlockFile {
  public:
   /// `file` must outlive the BlockFile (readers keep the buffer or map).
   static Result<BlockFile> Parse(std::string_view file, ContentKind expected);
 
   const BlockEntry* Find(BlockId id) const;
-  /// Find restricted to blocks whose reserved tag matches: the lookup for
-  /// kShardBundle members (tag = 1-based ordinal; 0 = bundle level).
-  const BlockEntry* FindTagged(BlockId id, uint32_t member_tag) const;
-
-  /// The validated TOC, in file order (ConcatShardFiles and the bundle
-  /// reader walk it directly).
-  const std::vector<BlockEntry>& blocks() const { return toc_; }
 
   /// Raw payload bytes of `entry` (bounds were validated in Parse).
   std::string_view Payload(const BlockEntry& entry) const {
@@ -313,27 +295,19 @@ class BlockFile {
   Result<Span<const T>> Column(BlockId id) const {
     const BlockEntry* entry = Find(id);
     if (entry == nullptr) return MissingBlock(id);
-    return ColumnAt<T>(*entry);
-  }
-
-  /// Typed view of a specific TOC entry (bundle members share BlockIds,
-  /// so the caller resolves the entry first).
-  template <typename T>
-  Result<Span<const T>> ColumnAt(const BlockEntry& entry) const {
-    const BlockId id = static_cast<BlockId>(entry.id);
     // Divide instead of multiplying rows * sizeof(T): a huge rows value
     // must fail this check, not wrap uint64 into a matching product.
-    if (static_cast<Encoding>(entry.encoding) != Encoding::kRaw ||
-        entry.size % sizeof(T) != 0 ||
-        entry.size / sizeof(T) != entry.rows) {
+    if (static_cast<Encoding>(entry->encoding) != Encoding::kRaw ||
+        entry->size % sizeof(T) != 0 ||
+        entry->size / sizeof(T) != entry->rows) {
       return BadBlock(id, "unexpected encoding or element width");
     }
-    const char* p = file_.data() + entry.offset;
+    const char* p = file_.data() + entry->offset;
     if (reinterpret_cast<uintptr_t>(p) % alignof(T) != 0) {
       return BadBlock(id, "misaligned column payload");
     }
     return Span<const T>{reinterpret_cast<const T*>(p),
-                         static_cast<size_t>(entry.rows)};
+                         static_cast<size_t>(entry->rows)};
   }
 
   /// A required packed unsigned column; validates that the payload size

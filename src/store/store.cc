@@ -759,31 +759,198 @@ std::string EncodeFusedKb(const FusedKbColumns& kb) {
   return builder.Finish(ContentKind::kFusedKb);
 }
 
+namespace {
+
+/// A kStrings block: offsets + bytes.
+struct DictSpan {
+  Span<const uint32_t> offsets;
+  std::string_view bytes;
+
+  size_t size() const { return offsets.size() - 1; }
+  std::string_view operator[](size_t i) const {
+    return bytes.substr(offsets[i], offsets[i + 1] - offsets[i]);
+  }
+};
+
+/// Numbers the data items by their (subject, predicate) id pair in
+/// first-use order over the triples and fills the item columns and
+/// triple_item: the one place that decides item numbers.
+template <typename IdColumn>
+void NumberItems(const IdColumn& subject, const IdColumn& predicate,
+                 FusedKbColumns* cols) {
+  const size_t n = subject.size();
+  cols->triple_item.resize(n);
+  std::unordered_map<uint64_t, uint32_t> item_of;
+  for (size_t t = 0; t < n; ++t) {
+    const uint32_t s = static_cast<uint32_t>(subject[t]);
+    const uint32_t p = static_cast<uint32_t>(predicate[t]);
+    auto [it, fresh] =
+        item_of.try_emplace((static_cast<uint64_t>(s) << 32) | p,
+                            static_cast<uint32_t>(cols->item_subject.size()));
+    if (fresh) {
+      cols->item_subject.push_back(s);
+      cols->item_predicate.push_back(p);
+    }
+    cols->triple_item[t] = it->second;
+  }
+}
+
+/// Loads dictionary `dict_id` into `out` id for id, after checking that
+/// the per-triple column `ids` (block `ids_id`) uses it canonically: each
+/// id in range, ids first used in ascending order, every entry used, and
+/// no entry repeated — the dictionary interning in first-use order
+/// produces.
+Status DecodeDict(const BlockFile& file, BlockId dict_id, BlockId ids_id,
+                  const PackedSpan& ids, const char* what,
+                  StringInterner* out) {
+  DictSpan dict;
+  KF_RETURN_IF_ERROR(LoadDict(file, dict_id, &dict));
+  KF_RETURN_IF_ERROR(CheckIds(ids_id, ids, dict.size(), what));
+  uint64_t next = 0;
+  for (size_t t = 0; t < ids.size(); ++t) {
+    const uint64_t v = ids[t];
+    if (v > next) {
+      return Status::InvalidArgument(StrFormat(
+          "store: block %u row %zu: %s id %llu used before id %llu",
+          static_cast<uint32_t>(ids_id), t, what,
+          static_cast<unsigned long long>(v),
+          static_cast<unsigned long long>(next)));
+    }
+    if (v == next) ++next;
+  }
+  if (next != dict.size()) {
+    return Status::InvalidArgument(
+        StrFormat("store: block %u: %s entry %llu is never used",
+                  static_cast<uint32_t>(dict_id), what,
+                  static_cast<unsigned long long>(next)));
+  }
+  out->Reserve(dict.size());
+  for (size_t i = 0; i < dict.size(); ++i) {
+    if (out->Intern(dict[i]) != i) {
+      return Status::InvalidArgument(
+          StrFormat("store: block %u: duplicate %s entry %zu",
+                    static_cast<uint32_t>(dict_id), what, i));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<FusedKbColumns> DecodeFusedKb(std::string_view bytes) {
+  Result<BlockFile> parsed = BlockFile::Parse(bytes, ContentKind::kFusedKb);
+  if (!parsed.ok()) return parsed.status();
+  const BlockFile& file = *parsed;
+  FusedKbColumns cols;
+
+  {
+    DictSpan method;
+    KF_RETURN_IF_ERROR(LoadDict(file, BlockId::kKbMethod, &method));
+    if (method.size() != 1) {
+      return Status::InvalidArgument(
+          "store: method block must hold exactly one string");
+    }
+    cols.method = std::string(method[0]);
+  }
+  Span<const uint64_t> meta;
+  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kKbMeta, 1, &meta));
+  cols.num_rounds = meta[0];
+
+  DictSpan descriptions;
+  KF_RETURN_IF_ERROR(
+      LoadDict(file, BlockId::kProvDescription, &descriptions));
+  const size_t num_provs = descriptions.size();
+  {
+    Span<const double> accuracy;
+    Span<const uint8_t> evaluated;
+    PackedSpan claims;
+    KF_RETURN_IF_ERROR(
+        LoadColumn(file, BlockId::kProvAccuracy, num_provs, &accuracy));
+    KF_RETURN_IF_ERROR(
+        LoadColumn(file, BlockId::kProvEvaluated, num_provs, &evaluated));
+    KF_RETURN_IF_ERROR(
+        LoadPacked(file, BlockId::kProvClaims, num_provs, &claims));
+    cols.provenances.resize(num_provs);
+    for (size_t p = 0; p < num_provs; ++p) {
+      extract::FusedKbProvRow& row = cols.provenances[p];
+      row.description = std::string(descriptions[p]);
+      row.accuracy = accuracy[p];
+      row.evaluated = evaluated[p] != 0;
+      row.num_claims = static_cast<uint32_t>(claims[p]);
+    }
+  }
+
+  Result<PackedSpan> subject = file.Packed(BlockId::kKbTripleSubject);
+  if (!subject.ok()) return subject.status();
+  const size_t n = subject->size();
+  PackedSpan predicate, object;
+  Span<const double> probability, calibrated;
+  Span<const uint8_t> flags;
+  KF_RETURN_IF_ERROR(
+      LoadPacked(file, BlockId::kKbTriplePredicate, n, &predicate));
+  KF_RETURN_IF_ERROR(LoadPacked(file, BlockId::kKbTripleObject, n, &object));
+  KF_RETURN_IF_ERROR(
+      LoadColumn(file, BlockId::kKbProbability, n, &probability));
+  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kKbCalibrated, n, &calibrated));
+  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kKbTripleFlags, n, &flags));
+
+  // The supporter CSR decodes straight into the columns.
+  KF_RETURN_IF_ERROR(file.DecodeDeltaVarint(BlockId::kKbSupportOffsets,
+                                            &cols.support_offsets));
+  if (cols.support_offsets.size() != n + 1 || cols.support_offsets[0] != 0) {
+    return Status::InvalidArgument(
+        "store: supporter offsets do not match the triple count");
+  }
+  KF_RETURN_IF_ERROR(file.DecodeVarintLists(
+      BlockId::kKbSupporters, cols.support_offsets, &cols.supporters));
+  KF_RETURN_IF_ERROR(
+      CheckIds(BlockId::kKbSupporters,
+               Span<const uint32_t>{cols.supporters.data(),
+                                    cols.supporters.size()},
+               num_provs, "supporter provenance"));
+  for (size_t t = 0; t < n; ++t) {
+    if (flags[t] > 7) {
+      return Status::InvalidArgument(StrFormat(
+          "store: triple %zu: unknown flag bits 0x%x", t, flags[t]));
+    }
+  }
+
+  KF_RETURN_IF_ERROR(DecodeDict(file, BlockId::kKbDictSubjects,
+                                BlockId::kKbTripleSubject, *subject,
+                                "subject", &cols.subjects));
+  KF_RETURN_IF_ERROR(DecodeDict(file, BlockId::kKbDictPredicates,
+                                BlockId::kKbTriplePredicate, predicate,
+                                "predicate", &cols.predicates));
+  KF_RETURN_IF_ERROR(DecodeDict(file, BlockId::kKbDictObjects,
+                                BlockId::kKbTripleObject, object, "object",
+                                &cols.objects));
+  NumberItems(*subject, predicate, &cols);
+  cols.triple_object.resize(n);
+  for (size_t t = 0; t < n; ++t) {
+    cols.triple_object[t] = static_cast<uint32_t>(object[t]);
+  }
+  cols.probability.assign(probability.begin(), probability.end());
+  cols.calibrated.assign(calibrated.begin(), calibrated.end());
+  cols.triple_flags.assign(flags.begin(), flags.end());
+  return cols;
+}
+
 FusedKbColumns FusedKbColumnsFromRows(const extract::FusedKbTsv& kb) {
   FusedKbColumns cols;
   cols.method = kb.method;
   cols.num_rounds = kb.num_rounds;
   cols.provenances = kb.provenances;
   const size_t n = kb.triples.size();
-  cols.triple_item.resize(n);
+  std::vector<uint32_t> subject(n), predicate(n);
   cols.triple_object.resize(n);
   cols.probability.resize(n);
   cols.calibrated.resize(n);
   cols.triple_flags.resize(n);
   cols.support_offsets.reserve(n + 1);
-  std::unordered_map<uint64_t, uint32_t> item_of;
   for (size_t t = 0; t < n; ++t) {
     const extract::FusedKbTripleRow& row = kb.triples[t];
-    const uint32_t s = cols.subjects.Intern(row.subject);
-    const uint32_t p = cols.predicates.Intern(row.predicate);
-    auto [it, fresh] =
-        item_of.try_emplace((static_cast<uint64_t>(s) << 32) | p,
-                            static_cast<uint32_t>(cols.item_subject.size()));
-    if (fresh) {
-      cols.item_subject.push_back(s);
-      cols.item_predicate.push_back(p);
-    }
-    cols.triple_item[t] = it->second;
+    subject[t] = cols.subjects.Intern(row.subject);
+    predicate[t] = cols.predicates.Intern(row.predicate);
     cols.triple_object[t] = cols.objects.Intern(row.object);
     cols.probability[t] = row.probability;
     cols.calibrated[t] = row.calibrated;
@@ -799,159 +966,12 @@ FusedKbColumns FusedKbColumnsFromRows(const extract::FusedKbTsv& kb) {
     cols.support_offsets.push_back(
         static_cast<uint32_t>(cols.supporters.size()));
   }
+  NumberItems(subject, predicate, &cols);
   return cols;
 }
 
 std::string WriteFusedKb(const extract::FusedKbTsv& kb) {
   return EncodeFusedKb(FusedKbColumnsFromRows(kb));
-}
-
-Status WriteFusedKbFile(const extract::FusedKbTsv& kb,
-                        const std::string& path) {
-  return AtomicWriteFile(path, WriteFusedKb(kb));
-}
-
-Result<FusedKbView> FusedKbView::Parse(std::string_view bytes) {
-  Result<BlockFile> blocks = BlockFile::Parse(bytes, ContentKind::kFusedKb);
-  if (!blocks.ok()) return blocks.status();
-
-  FusedKbView view;
-  view.blocks_ = std::move(*blocks);
-  const BlockFile& file = view.blocks_;
-
-  {
-    Dict method;
-    KF_RETURN_IF_ERROR(LoadDict(file, BlockId::kKbMethod, &method));
-    if (method.offsets.size() != 2) {
-      return Status::InvalidArgument(
-          "store: method block must hold exactly one string");
-    }
-    view.method_ = method.bytes.substr(0, method.offsets[1]);
-  }
-  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kKbMeta, 1, &view.meta_));
-
-  KF_RETURN_IF_ERROR(
-      LoadDict(file, BlockId::kProvDescription, &view.prov_description_));
-  const size_t num_provs = view.prov_description_.offsets.size() - 1;
-  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kProvAccuracy, num_provs,
-                                &view.prov_accuracy_));
-  KF_RETURN_IF_ERROR(LoadColumn(file, BlockId::kProvEvaluated, num_provs,
-                                &view.prov_evaluated_));
-  KF_RETURN_IF_ERROR(
-      LoadPacked(file, BlockId::kProvClaims, num_provs, &view.prov_claims_));
-
-  KF_RETURN_IF_ERROR(LoadDict(file, BlockId::kKbDictSubjects, &view.subjects_));
-  KF_RETURN_IF_ERROR(
-      LoadDict(file, BlockId::kKbDictPredicates, &view.predicates_));
-  KF_RETURN_IF_ERROR(LoadDict(file, BlockId::kKbDictObjects, &view.objects_));
-
-  {
-    Result<PackedSpan> subject = file.Packed(BlockId::kKbTripleSubject);
-    if (!subject.ok()) return subject.status();
-    view.t_subject_ = *subject;
-    const size_t n = view.t_subject_.size();
-    KF_RETURN_IF_ERROR(
-        LoadPacked(file, BlockId::kKbTriplePredicate, n, &view.t_predicate_));
-    KF_RETURN_IF_ERROR(
-        LoadPacked(file, BlockId::kKbTripleObject, n, &view.t_object_));
-    KF_RETURN_IF_ERROR(
-        LoadColumn(file, BlockId::kKbProbability, n, &view.probability_));
-    KF_RETURN_IF_ERROR(
-        LoadColumn(file, BlockId::kKbCalibrated, n, &view.calibrated_));
-    KF_RETURN_IF_ERROR(
-        LoadColumn(file, BlockId::kKbTripleFlags, n, &view.triple_flag_));
-
-    KF_RETURN_IF_ERROR(
-        file.DecodeDeltaVarint(BlockId::kKbSupportOffsets,
-                               &view.support_offsets_));
-    if (view.support_offsets_.size() != n + 1 ||
-        (n > 0 && view.support_offsets_[0] != 0)) {
-      return Status::InvalidArgument(
-          "store: supporter offsets do not match the triple count");
-    }
-    if (view.support_offsets_.empty()) view.support_offsets_ = {0};
-    KF_RETURN_IF_ERROR(file.DecodeVarintLists(BlockId::kKbSupporters,
-                                              view.support_offsets_,
-                                              &view.supporters_));
-  }
-
-  // Range checks so accessors and scans cannot fault.
-  KF_RETURN_IF_ERROR(CheckIds(BlockId::kKbTripleSubject, view.t_subject_,
-                              view.subjects_.offsets.size() - 1, "subject"));
-  KF_RETURN_IF_ERROR(CheckIds(BlockId::kKbTriplePredicate,
-                              view.t_predicate_,
-                              view.predicates_.offsets.size() - 1,
-                              "predicate"));
-  KF_RETURN_IF_ERROR(CheckIds(BlockId::kKbTripleObject, view.t_object_,
-                              view.objects_.offsets.size() - 1, "object"));
-  KF_RETURN_IF_ERROR(
-      CheckIds(BlockId::kKbSupporters,
-               Span<const uint32_t>{view.supporters_.data(),
-                                    view.supporters_.size()},
-               num_provs, "supporter provenance"));
-  for (size_t t = 0; t < view.triple_flag_.size(); ++t) {
-    if (view.triple_flag_[t] > 7) {
-      return Status::InvalidArgument(StrFormat(
-          "store: triple %zu: unknown flag bits 0x%x", t,
-          view.triple_flag_[t]));
-    }
-  }
-  return view;
-}
-
-Result<extract::FusedKbTsv> FusedKbView::Materialize() const {
-  extract::FusedKbTsv kb;
-  kb.method = std::string(method());
-  kb.num_rounds = static_cast<size_t>(num_rounds());
-  kb.provenances.resize(num_provenances());
-  for (size_t p = 0; p < kb.provenances.size(); ++p) {
-    extract::FusedKbProvRow& row = kb.provenances[p];
-    row.description = std::string(prov_description(static_cast<uint32_t>(p)));
-    row.accuracy = prov_accuracy_[p];
-    row.evaluated = prov_evaluated_[p] != 0;
-    row.num_claims = static_cast<uint32_t>(prov_claims_[p]);
-  }
-  kb.triples.resize(num_triples());
-  for (size_t t = 0; t < kb.triples.size(); ++t) {
-    extract::FusedKbTripleRow& row = kb.triples[t];
-    const uint32_t id = static_cast<uint32_t>(t);
-    row.subject = std::string(subject(id));
-    row.predicate = std::string(predicate(id));
-    row.object = std::string(object(id));
-    row.probability = probability_[t];
-    row.calibrated = calibrated_[t];
-    row.has_probability = (triple_flag_[t] & 1) != 0;
-    row.from_fallback = (triple_flag_[t] & 2) != 0;
-    row.winner = (triple_flag_[t] & 4) != 0;
-    Span<const uint32_t> supp = supporters(id);
-    row.supporters.assign(supp.begin(), supp.end());
-  }
-  return kb;
-}
-
-Result<extract::FusedKbTsv> LoadFusedKb(std::string_view bytes) {
-  Result<FusedKbView> view = FusedKbView::Parse(bytes);
-  if (!view.ok()) return view.status();
-  return view->Materialize();
-}
-
-Result<extract::FusedKbTsv> LoadFusedKbFile(const std::string& path) {
-  Result<std::string> bytes = extract::ReadFile(path);
-  if (!bytes.ok()) return bytes.status();  // already names the path
-  Result<extract::FusedKbTsv> kb = LoadFusedKb(*bytes);
-  if (!kb.ok()) return PrefixPath(path, kb.status());
-  return kb;
-}
-
-Result<FusedKbMmapView> FusedKbMmapView::Open(const std::string& path) {
-  Result<MmapFile> map = MmapFile::Open(path);
-  if (!map.ok()) return map.status();
-  FusedKbMmapView mapped;
-  mapped.map_ = std::move(*map);
-  Result<FusedKbView> view = FusedKbView::Parse(mapped.map_.data());
-  if (!view.ok()) return PrefixPath(path, view.status());
-  mapped.view_ = std::move(*view);
-  return mapped;
 }
 
 }  // namespace kf::store

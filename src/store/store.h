@@ -3,15 +3,17 @@
 //
 //   corpus    extract::TsvCorpus — the six interner dictionaries, the
 //             value table, item/triple/record columns, extractor metas
-//   fused-kb  the extract::FusedKbTsv schema (M/P/T) — dictionaries,
-//             probability columns, delta+varint supporter CSR
+//   fused-kb  the columns of a kf::FusedKB (the extract::FusedKbTsv
+//             schema, M/P/T) — dictionaries, probability columns,
+//             delta+varint supporter CSR
 //
-// Both kinds read two ways:
+// Corpora read two ways:
 //   - Owning load: materializes exactly the in-memory structs the TSV
 //     path produces (bit-identical round-trip, operator==-verified).
 //   - MmapView: validates the file once, then serves dictionary lookups
-//     and column scans zero-copy off the mapping — for read-heavy
-//     consumers and the substrate for out-of-core shard spilling.
+//     and column scans zero-copy off the mapping.
+// A fused-KB image has one decoder, DecodeFusedKb, which turns it
+// straight into the columns kf::FusedKB keeps.
 //
 // Compared to TSV this is ~3-4x smaller on disk and parses >5x faster
 // (bench/bench_store.cc records both into BENCH_perf.json).
@@ -175,12 +177,13 @@ inline constexpr uint8_t kKbHasProbability = 1;
 inline constexpr uint8_t kKbFromFallback = 2;
 inline constexpr uint8_t kKbWinner = 4;
 
-/// A fused KB in column form: the one input of the fused-KB encoder.
-/// kf::FusedKB keeps exactly these columns, so its image is written
-/// without building rows or re-interning a string; WriteFusedKb interns
-/// schema rows into them first. Strings are interned in first-use order
-/// over the triples (subject and predicate through the triple's item),
-/// which is why a KB and its rows encode to the same bytes.
+/// A fused KB in column form: what the fused-KB encoder writes and the
+/// decoder returns. kf::FusedKB keeps exactly these columns, so its
+/// image is written without building rows or re-interning a string.
+/// Canonical form: strings are interned in first-use order over the
+/// triples (subject and predicate through the triple's item), and items
+/// are numbered by their (subject, predicate) pair in first-use order —
+/// which is why a KB, its rows and its image encode to the same bytes.
 struct FusedKbColumns {
   std::string method;
   uint64_t num_rounds = 0;
@@ -210,101 +213,20 @@ struct FusedKbColumns {
 /// Serializes fused-KB columns into the binary fused-KB format.
 std::string EncodeFusedKb(const FusedKbColumns& kb);
 
-/// Interns schema rows into columns: one item per distinct (subject,
-/// predicate), strings in first-use order. Copies values as given (no
-/// validation; kf::FusedKB::FromRows checks them).
+/// Decodes a fused-KB image into columns. Validates the container, the
+/// block layout, every id against its dictionary and the flag bits, and
+/// rejects dictionaries that are not canonical (a duplicate or unused
+/// entry, or ids not first used in ascending order). Values are taken as
+/// stored: kf::FusedKB::FromBinary checks probabilities, winners and
+/// supporter order. Every failure is a clean Status.
+Result<FusedKbColumns> DecodeFusedKb(std::string_view bytes);
+
+/// Interns schema rows into canonical columns. Copies values as given
+/// (no validation; kf::FusedKB::FromRows checks them).
 FusedKbColumns FusedKbColumnsFromRows(const extract::FusedKbTsv& kb);
 
 /// Serializes a fused KB (schema form): EncodeFusedKb of its columns.
 std::string WriteFusedKb(const extract::FusedKbTsv& kb);
-
-Status WriteFusedKbFile(const extract::FusedKbTsv& kb,
-                        const std::string& path);
-
-/// Owning load of the M/P/T rows; same validation guarantees as
-/// LoadCorpus. Supporter indices are range-checked against the
-/// provenance table.
-Result<extract::FusedKbTsv> LoadFusedKb(std::string_view bytes);
-
-Result<extract::FusedKbTsv> LoadFusedKbFile(const std::string& path);
-
-/// Zero-copy view over a fused-KB image. String columns resolve through
-/// the on-file dictionaries; the varint-packed supporter CSR is decoded
-/// into owned arrays at Parse (everything else stays on the mapping).
-class FusedKbView {
- public:
-  static Result<FusedKbView> Parse(std::string_view bytes);
-
-  std::string_view method() const { return method_; }
-  uint64_t num_rounds() const { return meta_[0]; }
-  size_t num_triples() const { return t_subject_.size(); }
-  size_t num_provenances() const { return prov_accuracy_.size(); }
-
-  std::string_view subject(uint32_t t) const {
-    return DictEntry(subjects_, static_cast<uint32_t>(t_subject_[t]));
-  }
-  std::string_view predicate(uint32_t t) const {
-    return DictEntry(predicates_, static_cast<uint32_t>(t_predicate_[t]));
-  }
-  std::string_view object(uint32_t t) const {
-    return DictEntry(objects_, static_cast<uint32_t>(t_object_[t]));
-  }
-  std::string_view prov_description(uint32_t p) const {
-    return DictEntry(prov_description_, p);
-  }
-
-  Span<const double> probabilities() const { return probability_; }
-  Span<const double> calibrated() const { return calibrated_; }
-  /// bit0 has_probability, bit1 from_fallback, bit2 winner.
-  Span<const uint8_t> triple_flags() const { return triple_flag_; }
-  Span<const double> prov_accuracies() const { return prov_accuracy_; }
-
-  /// Supporting provenance indices of triple `t` (ascending).
-  Span<const uint32_t> supporters(uint32_t t) const {
-    return Span<const uint32_t>{
-        supporters_.data() + support_offsets_[t],
-        static_cast<size_t>(support_offsets_[t + 1] - support_offsets_[t])};
-  }
-
-  Result<extract::FusedKbTsv> Materialize() const;
-
- private:
-  friend Result<extract::FusedKbTsv> LoadFusedKb(std::string_view bytes);
-
-  struct Dict {
-    Span<const uint32_t> offsets;
-    std::string_view bytes;
-  };
-  std::string_view DictEntry(const Dict& d, uint32_t id) const {
-    return d.bytes.substr(d.offsets[id], d.offsets[id + 1] - d.offsets[id]);
-  }
-
-  BlockFile blocks_;
-  std::string_view method_;
-  Span<const uint64_t> meta_;
-  Dict subjects_, predicates_, objects_, prov_description_;
-  PackedSpan t_subject_, t_predicate_, t_object_;
-  Span<const double> probability_, calibrated_;
-  Span<const uint8_t> triple_flag_;
-  Span<const double> prov_accuracy_;
-  Span<const uint8_t> prov_evaluated_;
-  PackedSpan prov_claims_;
-  // The CSR is varint-packed on disk; decoded once here.
-  std::vector<uint32_t> support_offsets_;
-  std::vector<uint32_t> supporters_;
-};
-
-/// A fused-KB view bound to a live memory mapping of the file.
-class FusedKbMmapView {
- public:
-  static Result<FusedKbMmapView> Open(const std::string& path);
-
-  const FusedKbView& view() const { return view_; }
-
- private:
-  MmapFile map_;
-  FusedKbView view_;
-};
 
 }  // namespace kf::store
 

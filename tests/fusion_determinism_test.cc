@@ -99,9 +99,13 @@ TEST_P(MethodSweep, IdenticalAcrossWorkerCounts) {
   opts.method = GetParam();
   // The contract is per shard count. Stage I cuts its sweep into tasks
   // of at least 2048 claims; at 256 shards every shard is below that
-  // grain (some are empty), so each task batches dozens of shards.
-  for (size_t shards : {size_t{8}, size_t{256}}) {
+  // grain (some are empty), so each task batches dozens of shards, and
+  // at 2 shards a shard above the grain is a task of its own.
+  for (size_t shards : {size_t{2}, size_t{8}, size_t{256}}) {
     opts.num_shards = shards;
+    if (shards == 2) {
+      ASSERT_GE(LargestShardClaims(opts), 2048u);
+    }
     if (shards == 256) {
       ASSERT_LT(LargestShardClaims(opts), 2048u);
     }

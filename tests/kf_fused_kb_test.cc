@@ -406,6 +406,29 @@ TEST(FusedKbTest, ImportRejectsMalformedTsv) {
                        "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t\n"
                        "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t\n")
           .ok());
+  // Supporters unsorted and repeated: supporters() promises ascending
+  // lists and Explain would list provenance 0 twice. Rejected from TSV
+  // and from the same rows as a binary image alike.
+  const std::string unsorted =
+      "M\taccu\t3\n"
+      "P\tsrc0\t0.8\t1\t2\n"
+      "P\tsrc1\t0.8\t1\t0\n"
+      "P\tsrc2\t0.8\t1\t1\n"
+      "T\ts\tp\to\t0.9\t0.9\t1\t0\t1\t2,0,0\n";
+  Result<FusedKB> from_tsv = FusedKB::FromTsv(unsorted);
+  ASSERT_FALSE(from_tsv.ok());
+  EXPECT_EQ(from_tsv.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_tsv.status().message().find("strictly ascending"),
+            std::string::npos)
+      << from_tsv.status().message();
+  Result<extract::FusedKbTsv> rows = extract::ReadFusedKbTsv(unsorted);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  Result<FusedKB> from_bin = FusedKB::FromBinary(store::WriteFusedKb(*rows));
+  ASSERT_FALSE(from_bin.ok());
+  EXPECT_EQ(from_bin.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_bin.status().message().find("strictly ascending"),
+            std::string::npos)
+      << from_bin.status().message();
   // A consistent hand-written KB imports fine.
   Result<FusedKB> ok =
       FusedKB::FromTsv("M\taccu\t3\n"

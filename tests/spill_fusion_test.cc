@@ -5,7 +5,7 @@
 // within the scheduler's plan. Plus the subsystem's edges: incremental
 // Append+Refuse over spilled dirty shards, Session routing and its
 // budget/method rejections, spill-directory failure handling (clean
-// Status, no leaked temp dirs), and the MapAll+MergeTo bundle export.
+// Status, no leaked temp dirs).
 //
 // KF_SPILL_FORCE_TINY_BUDGET=1 (set by the ASan CI job) forces every
 // budgeted run in this suite down to a 1-byte budget — every shard its
@@ -27,7 +27,6 @@
 #include "fusion/registry.h"
 #include "kf/session.h"
 #include "spill/spill.h"
-#include "store/shard_store.h"
 #include "synth/corpus.h"
 
 namespace kf::spill {
@@ -183,6 +182,15 @@ TEST_P(BudgetMethodSweep, BitIdenticalAcrossBudgetsAndWorkers) {
     ExpectBitIdentical(small_reference,
                        RunBudgeted(dataset, opts, OneBudget(small), workers));
   }
+
+  // 2 shards: a shard above the task grain is a task of its own.
+  opts.num_shards = 2;
+  const GraphBytes large = MeasureGraph(dataset, opts);
+  ASSERT_GE(large.largest_claims, 2048u);
+  const Capture large_reference = RunResident(dataset, opts);
+  SCOPED_TRACE("shards=2 workers=8");
+  ExpectBitIdentical(large_reference,
+                     RunBudgeted(dataset, opts, OneBudget(large), 8));
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, BudgetMethodSweep,
@@ -503,37 +511,6 @@ TEST(SpillFusionTest, ManagerRemovesItsOwnedTempDir) {
   // shard is resident again or rebuildable (nothing dangles mapped).
   struct stat st;
   EXPECT_NE(::stat(dir.c_str(), &st), 0);
-}
-
-// ---- MapAll + MergeTo: the bundle export ------------------------------
-
-TEST(SpillFusionTest, MergeToWritesAReadableBundle) {
-  if (fault::AnyArmed()) GTEST_SKIP() << "no recovery hook; faults armed";
-  const auto& dataset = GetWorkload().corpus.dataset;
-  FusionOptions opts = FusionOptions::PopAccu();
-  opts.num_shards = 8;
-  opts.num_workers = 1;
-  FusionEngine engine(dataset, opts);
-  engine.Prepare();
-  ShardSpillManager::Options mo;
-  mo.budget_bytes = 1;
-  auto mgr = ShardSpillManager::Create(&engine.mutable_graph(), mo);
-  ASSERT_TRUE(mgr.ok());
-  const std::string out = ::testing::TempDir() + "spill_merged.kfs";
-  // Before MapAll some shards have no current file: a clean refusal.
-  Status early = (*mgr)->MergeTo(out);
-  ASSERT_FALSE(early.ok());
-  EXPECT_EQ(early.code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE((*mgr)->MapAll().ok());
-  ASSERT_TRUE((*mgr)->MergeTo(out).ok());
-  auto bundle = store::ShardBundleMmapView::Open(out);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().message();
-  EXPECT_EQ(bundle->view().num_members(), engine.graph().num_shards());
-  for (size_t m = 0; m < bundle->view().num_members(); ++m) {
-    EXPECT_EQ(bundle->view().shard_id(m), m);
-    EXPECT_TRUE(bundle->view().member(m).ok());
-  }
-  ::remove(out.c_str());
 }
 
 }  // namespace

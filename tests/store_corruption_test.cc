@@ -1,7 +1,8 @@
 // Hostile-input contract of kf::store: every corruption — flipped magic,
 // wrong version, truncation at any byte, bit flips under the checksums,
-// out-of-range dictionary ids, bogus enum values — loads to a clean
-// Status, never a crash or out-of-bounds read. The suite runs under ASan
+// out-of-range dictionary ids, bogus enum values, non-canonical fused-KB
+// dictionaries — loads to a clean Status, never a crash or out-of-bounds
+// read. The suite runs under ASan
 // in CI, so "never reads past the buffer" is machine-checked, not
 // asserted by eyeball.
 #include <gtest/gtest.h>
@@ -10,7 +11,9 @@
 #include <string>
 
 #include "extract/tsv_io.h"
+#include "kf/fused_kb.h"
 #include "store/format.h"
+#include "store/shard_store.h"
 #include "store/store.h"
 
 namespace kf::store {
@@ -274,7 +277,7 @@ TEST(StoreCorruptionTest, SupportOffsetRowInflationIsRejected) {
   // bound, not by attempting a 2^62-entry allocation.
   std::string bytes = PatchTocRows(WriteFusedKb(kb),
                                    BlockId::kKbSupportOffsets, 1ull << 62);
-  auto result = LoadFusedKb(bytes);
+  auto result = DecodeFusedKb(bytes);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -305,10 +308,108 @@ TEST(StoreCorruptionTest, FusedKbSupporterOutOfRangeIsRejected) {
                            header.toc_count * sizeof(BlockEntry));
   std::memcpy(bytes.data(), &header, sizeof(header));
 
-  auto result = LoadFusedKb(bytes);
+  auto result = DecodeFusedKb(bytes);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("out of range"),
             std::string::npos);
+}
+
+// ---- fused-KB images: canonical dictionaries, validated values --------
+
+/// Two values of one data item, both claimed by provenance 0; "o1" wins.
+extract::FusedKbTsv TwoValueKb() {
+  extract::FusedKbTsv kb;
+  kb.method = "accu";
+  kb.provenances.resize(1);
+  kb.provenances[0] = {"a", 0.5, false, 2};
+  kb.triples.resize(2);
+  kb.triples[0] = {"s", "p", "o1", 0.9, 0.9, true, false, true, {0}};
+  kb.triples[1] = {"s", "p", "o2", 0.1, 0.1, true, false, false, {0}};
+  return kb;
+}
+
+/// Expects DecodeFusedKb to reject `bytes` with a message holding `what`.
+void ExpectDecodeRejects(const std::string& bytes, const std::string& what) {
+  auto result = DecodeFusedKb(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(what), std::string::npos)
+      << result.status().message();
+}
+
+TEST(StoreCorruptionTest, FusedKbDuplicateDictionaryEntryIsRejected) {
+  // "o2" becomes "o1": two object ids name one string.
+  ExpectDecodeRejects(
+      PatchBlock(WriteFusedKb(TwoValueKb()), BlockId::kKbDictObjects,
+                 [](char* payload, size_t size) { payload[size - 1] = '1'; }),
+      "duplicate object entry 1");
+}
+
+TEST(StoreCorruptionTest, FusedKbUnusedDictionaryEntryIsRejected) {
+  // Both triples name object 0; "o2" is never used.
+  ExpectDecodeRejects(
+      PatchBlock(WriteFusedKb(TwoValueKb()), BlockId::kKbTripleObject,
+                 [](char* payload, size_t size) {
+                   std::memset(payload, 0, size);
+                 }),
+      "object entry 1 is never used");
+}
+
+TEST(StoreCorruptionTest, FusedKbIdsOutOfFirstUseOrderAreRejected) {
+  // Triple 0 names object 1 before any triple named object 0.
+  ExpectDecodeRejects(
+      PatchBlock(WriteFusedKb(TwoValueKb()), BlockId::kKbTripleObject,
+                 [](char* payload, size_t size) {
+                   ASSERT_EQ(size, 2u);  // two 1-byte ids
+                   payload[0] = 1;
+                   payload[1] = 0;
+                 }),
+      "object id 1 used before id 0");
+}
+
+TEST(StoreCorruptionTest, NonzeroReservedFieldIsRejected) {
+  ShardFileColumns shard;
+  const uint32_t zero = 0;
+  shard.item_offsets = {&zero, 1};
+  std::string bytes = BuildShardFile(shard);
+  FileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  BlockEntry* toc = reinterpret_cast<BlockEntry*>(&bytes[header.toc_offset]);
+  toc[header.toc_count - 1].reserved = 1;
+  header.toc_crc32 = Crc32(&bytes[header.toc_offset],
+                           header.toc_count * sizeof(BlockEntry));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  auto file = BlockFile::Parse(bytes, ContentKind::kClaimShard);
+  ASSERT_FALSE(file.ok());
+  EXPECT_EQ(file.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(file.status().message().find("reserved"), std::string::npos);
+}
+
+TEST(StoreCorruptionTest, FusedKbProbabilityOutsideUnitIntervalIsRejected) {
+  extract::FusedKbTsv kb = TwoValueKb();
+  kb.triples[0].probability = 1.5;
+  const std::string bytes = WriteFusedKb(kb);
+  // The decoder takes values as stored; the KB's constructor rejects.
+  ASSERT_TRUE(DecodeFusedKb(bytes).ok());
+  auto result = FusedKB::FromBinary(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("outside [0,1]"),
+            std::string::npos)
+      << result.status().message();
+}
+
+TEST(StoreCorruptionTest, FusedKbInconsistentWinnerBitIsRejected) {
+  extract::FusedKbTsv kb = TwoValueKb();
+  kb.triples[0].winner = false;  // the 0.1 value marked as the winner
+  kb.triples[1].winner = true;
+  const std::string bytes = WriteFusedKb(kb);
+  ASSERT_TRUE(DecodeFusedKb(bytes).ok());
+  auto result = FusedKB::FromBinary(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("winner flag"), std::string::npos)
+      << result.status().message();
 }
 
 TEST(StoreCorruptionTest, MmapOpenOnCorruptFileFailsCleanly) {

@@ -1,13 +1,14 @@
 // The kf::store contract: a corpus or fused KB serialized to the binary
 // columnar format loads back bit-identically — same interner ids, same
-// records, same doubles — through both the owning load and the mmap
-// zero-copy view, and the binary image is smaller than the TSV it came
-// from.
+// records, same doubles — a corpus through both the owning load and the
+// mmap zero-copy view, a fused KB through its one decoder — and the
+// binary image is smaller than the TSV it came from.
 #include "store/store.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "extract/tsv_io.h"
 #include "kf/fused_kb.h"
@@ -187,37 +188,69 @@ extract::FusedKbTsv SampleKbRows() {
   return kb;
 }
 
+/// The columns as rows again (the schema form the sample started as).
+extract::FusedKbTsv ColumnsToRows(const FusedKbColumns& c) {
+  extract::FusedKbTsv kb;
+  kb.method = c.method;
+  kb.num_rounds = static_cast<size_t>(c.num_rounds);
+  kb.provenances = c.provenances;
+  for (size_t t = 0; t < c.num_triples(); ++t) {
+    const uint32_t item = c.triple_item[t];
+    const uint8_t flags = c.triple_flags[t];
+    kb.triples.push_back(
+        {c.subjects.Get(c.item_subject[item]),
+         c.predicates.Get(c.item_predicate[item]),
+         c.objects.Get(c.triple_object[t]), c.probability[t],
+         c.calibrated[t], (flags & kKbHasProbability) != 0,
+         (flags & kKbFromFallback) != 0, (flags & kKbWinner) != 0,
+         std::vector<uint32_t>(
+             c.supporters.begin() + c.support_offsets[t],
+             c.supporters.begin() + c.support_offsets[t + 1])});
+  }
+  return kb;
+}
+
 TEST(StoreRoundtripTest, FusedKbRowsRoundTrip) {
   const extract::FusedKbTsv kb = SampleKbRows();
-  auto back = LoadFusedKb(WriteFusedKb(kb));
+  const std::string image = WriteFusedKb(kb);
+  auto back = DecodeFusedKb(image);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->method, kb.method);
-  EXPECT_EQ(back->num_rounds, kb.num_rounds);
-  EXPECT_EQ(back->provenances, kb.provenances);
-  EXPECT_EQ(back->triples, kb.triples);
+  const extract::FusedKbTsv rows = ColumnsToRows(*back);
+  EXPECT_EQ(rows.method, kb.method);
+  EXPECT_EQ(rows.num_rounds, kb.num_rounds);
+  EXPECT_EQ(rows.provenances, kb.provenances);
+  EXPECT_EQ(rows.triples, kb.triples);
+  // The decoded columns are the rows' canonical columns: they encode to
+  // the very same image.
+  EXPECT_EQ(EncodeFusedKb(*back), image);
 }
 
 TEST(StoreRoundtripTest, FusedKbViewServesColumns) {
   const extract::FusedKbTsv kb = SampleKbRows();
   const std::string path = testing::TempDir() + "store_rt_kb.kfs";
-  ASSERT_TRUE(WriteFusedKbFile(kb, path).ok());
+  ASSERT_TRUE(extract::WriteFile(path, WriteFusedKb(kb)).ok());
+  auto bytes = extract::ReadFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
 
-  auto mapped = FusedKbMmapView::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  const FusedKbView& view = mapped->view();
-  EXPECT_EQ(view.method(), "popaccu");
-  EXPECT_EQ(view.num_rounds(), 7u);
-  ASSERT_EQ(view.num_triples(), 3u);
-  ASSERT_EQ(view.num_provenances(), 3u);
-  EXPECT_EQ(view.subject(0), "TomCruise");
-  EXPECT_EQ(view.object(2), "1986");
-  EXPECT_EQ(view.prov_description(1), "txt@www.imdb.com");
-  EXPECT_EQ(view.probabilities()[0], 0.99981232);
-  EXPECT_EQ(view.prov_accuracies()[2], 1.0 / 3.0);
-  ASSERT_EQ(view.supporters(1).size(), 3u);
-  EXPECT_EQ(view.supporters(1)[0], 2u);
-  EXPECT_EQ(view.supporters(1)[1], 0u);
-  EXPECT_EQ(view.supporters(2).size(), 0u);
+  auto cols = DecodeFusedKb(*bytes);
+  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+  EXPECT_EQ(cols->method, "popaccu");
+  EXPECT_EQ(cols->num_rounds, 7u);
+  ASSERT_EQ(cols->num_triples(), 3u);
+  ASSERT_EQ(cols->provenances.size(), 3u);
+  // Two triples share the (TomCruise, birth_date) item.
+  ASSERT_EQ(cols->num_items(), 2u);
+  EXPECT_EQ(cols->triple_item, (std::vector<uint32_t>{0, 0, 1}));
+  EXPECT_EQ(cols->subjects.Get(cols->item_subject[0]), "TomCruise");
+  EXPECT_EQ(cols->predicates.Get(cols->item_predicate[1]), "release_year");
+  EXPECT_EQ(cols->objects.Get(cols->triple_object[2]), "1986");
+  EXPECT_EQ(cols->provenances[1].description, "txt@www.imdb.com");
+  EXPECT_EQ(cols->probability[0], 0.99981232);
+  EXPECT_EQ(cols->provenances[2].accuracy, 1.0 / 3.0);
+  EXPECT_EQ(cols->triple_flags[2], kKbFromFallback);
+  // The supporter CSR, unsorted list included, exactly as written.
+  EXPECT_EQ(cols->support_offsets, (std::vector<uint32_t>{0, 2, 5, 5}));
+  EXPECT_EQ(cols->supporters, (std::vector<uint32_t>{0, 2, 2, 0, 1}));
   std::remove(path.c_str());
 }
 
@@ -262,7 +295,7 @@ TEST(StoreRoundtripTest, FileLoadErrorsNameThePath) {
             std::string::npos);
 
   const std::string path = testing::TempDir() + "store_rt_badkind.kfs";
-  ASSERT_TRUE(WriteFusedKbFile(SampleKbRows(), path).ok());
+  ASSERT_TRUE(extract::WriteFile(path, WriteFusedKb(SampleKbRows())).ok());
   // A fused-KB image fed to the corpus loader: clean kind mismatch that
   // names the offending file.
   auto wrong_kind = LoadCorpusFile(path);
